@@ -1,13 +1,13 @@
-//! Engine throughput: the arena-backed executor's hot round loop, measured
-//! through the batched interface, the legacy `Protocol` adapter, and the
-//! chunked parallel path.
+//! Executor throughput: the arena-backed executor's hot round loop, measured
+//! sequentially and on the chunked parallel path.
 //!
 //! Besides timing, this bench *verifies* the executor's headline invariant
 //! with a counting global allocator: after setup, the sequential round loop
 //! performs **zero heap allocations** — the allocation count of a run is
-//! independent of how many rounds it executes. A regression that sneaks a
-//! per-round `Vec` back into the hot path fails this bench before it shows
-//! up in any timing.
+//! independent of how many rounds it executes, both without a fault plan
+//! and under a pass-through one. A regression that sneaks a per-round `Vec`
+//! back into the hot path (or into the fault branch of the shared loop)
+//! fails this bench before it shows up in any timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use locality_graph::prelude::*;
@@ -51,53 +51,22 @@ impl BatchProtocol for Pulse {
     }
 }
 
-/// The same protocol through the legacy `Outbox`/inbox interface.
-#[derive(Debug, Clone)]
-struct LegacyPulse {
-    deadline: u32,
-    acc: u32,
+fn pulses(g: &Graph, rounds: u32) -> impl Iterator<Item = Pulse> {
+    (0..g.node_count()).map(move |_| Pulse {
+        deadline: rounds,
+        acc: 0,
+    })
 }
 
-impl Protocol for LegacyPulse {
-    type Message = u32;
-    type Output = u32;
-
-    fn start(&mut self, ctx: &NodeContext) -> Outbox<u32> {
-        Outbox::broadcast(ctx.node as u32)
-    }
-
-    fn round(&mut self, ctx: &NodeContext, round: u32, inbox: &[(usize, u32)]) -> Step<u32, u32> {
-        for &(_, m) in inbox {
-            self.acc = self.acc.wrapping_add(m).rotate_left(1);
-        }
-        if round >= self.deadline {
-            return Step::Halt(self.acc);
-        }
-        Step::Continue(Outbox::broadcast(self.acc ^ ctx.node as u32))
-    }
-}
-
-fn run_pulse(g: &Graph, ids: &IdAssignment, rounds: u32) -> Run<u32> {
+fn run_pulse(g: &Graph, ids: &IdAssignment, rounds: u32, threads: usize) -> Run<u32> {
     Executor::local(g, ids)
-        .run(
-            (0..g.node_count()).map(|_| Pulse {
-                deadline: rounds,
-                acc: 0,
-            }),
-            rounds + 1,
-        )
+        .run(pulses(g, rounds), rounds + 1, threads)
         .expect("pulse halts at its deadline")
 }
 
-fn run_legacy_pulse(g: &Graph, ids: &IdAssignment, rounds: u32) -> Run<u32> {
-    Engine::local(g, ids)
-        .run(
-            (0..g.node_count()).map(|_| LegacyPulse {
-                deadline: rounds,
-                acc: 0,
-            }),
-            rounds + 1,
-        )
+fn run_pulse_with_faults(g: &Graph, ids: &IdAssignment, rounds: u32) -> FaultRun<u32> {
+    Executor::local(g, ids)
+        .run_with_faults(pulses(g, rounds), rounds + 1, 1, &FaultPlan::new(0))
         .expect("pulse halts at its deadline")
 }
 
@@ -108,14 +77,14 @@ fn assert_round_loop_allocation_free() {
     let ids = IdAssignment::sequential(g.node_count());
 
     // Warm up (lazy runtime one-time allocations must not skew the counts).
-    run_pulse(&g, &ids, 4);
-    run_legacy_pulse(&g, &ids, 4);
+    run_pulse(&g, &ids, 4, 1);
+    run_pulse_with_faults(&g, &ids, 4);
 
     let short = allocations_during(|| {
-        run_pulse(&g, &ids, 8);
+        run_pulse(&g, &ids, 8, 1);
     });
     let long = allocations_during(|| {
-        run_pulse(&g, &ids, 256);
+        run_pulse(&g, &ids, 256, 1);
     });
     assert_eq!(
         short, long,
@@ -123,18 +92,17 @@ fn assert_round_loop_allocation_free() {
          vs {long} for 256 — the difference is per-round allocation"
     );
 
-    // The legacy adapter's scratch buffers reach capacity during the first
-    // delivered round; after that its steady-state loop is allocation-free
-    // too.
+    // The same loop under a pass-through fault plan: the fault branch's
+    // delivery pass and pending ring must not allocate per round either.
     let short = allocations_during(|| {
-        run_legacy_pulse(&g, &ids, 8);
+        run_pulse_with_faults(&g, &ids, 8);
     });
     let long = allocations_during(|| {
-        run_legacy_pulse(&g, &ids, 256);
+        run_pulse_with_faults(&g, &ids, 256);
     });
     assert_eq!(
         short, long,
-        "legacy engine adapter allocated per round: {short} allocs for 8 rounds vs {long} for 256"
+        "faulty round loop allocated per round: {short} allocs for 8 rounds vs {long} for 256"
     );
     println!("zero-alloc invariant holds: {short} setup allocations regardless of round count");
 }
@@ -150,24 +118,10 @@ fn bench_engine(c: &mut Criterion) {
         let ids = IdAssignment::sequential(g.node_count());
         let n = g.node_count();
         group.bench_with_input(BenchmarkId::new("arena-seq", n), &g, |b, g| {
-            b.iter(|| run_pulse(g, &ids, rounds));
-        });
-        group.bench_with_input(BenchmarkId::new("legacy-adapter", n), &g, |b, g| {
-            b.iter(|| run_legacy_pulse(g, &ids, rounds));
+            b.iter(|| run_pulse(g, &ids, rounds, 1));
         });
         group.bench_with_input(BenchmarkId::new("arena-par4", n), &g, |b, g| {
-            b.iter(|| {
-                Executor::local(g, &ids)
-                    .run_parallel(
-                        (0..g.node_count()).map(|_| Pulse {
-                            deadline: rounds,
-                            acc: 0,
-                        }),
-                        rounds + 1,
-                        4,
-                    )
-                    .expect("pulse halts at its deadline")
-            });
+            b.iter(|| run_pulse(g, &ids, rounds, 4));
         });
     }
     group.finish();

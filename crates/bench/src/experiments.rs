@@ -1926,6 +1926,7 @@ pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
                         .run_with_faults(
                             (0..n).map(|v| LubyProtocol::new(&g, &ids, v, 7)),
                             max_rounds,
+                            1,
                             &plan,
                         )
                         .expect("luby terminates under the fault plan") // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report

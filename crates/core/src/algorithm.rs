@@ -1,16 +1,16 @@
 //! The unified [`LocalAlgorithm`] interface: graph + identifiers + seed in,
 //! per-node labeling + [`RoundStats`] out.
 //!
-//! Historically each algorithm in this crate reported costs its own way —
-//! some ran as genuine engine protocols (Elkin–Neiman), others were
-//! centralized reference implementations that charged rounds analytically
-//! (Luby MIS, trial coloring), so round counts, message counts and random
-//! bits were not comparable across algorithms. Implementations of
-//! [`LocalAlgorithm`] run as protocols on the
-//! [`locality_sim::executor::Executor`], so every algorithm is metered by
-//! the *same* engine code: rounds are engine rounds, messages are occupied
-//! directed-edge slots, CONGEST violations are counted per directed message,
-//! and random bits are whatever the per-node sources actually drew.
+//! Implementations of [`LocalAlgorithm`] run as [`BatchProtocol`]s on the
+//! workspace's one round runtime, [`locality_sim::executor::Executor`], so
+//! every algorithm is metered by the *same* code: rounds are executor
+//! rounds, messages are occupied directed-edge slots, CONGEST violations are
+//! counted per directed message, and random bits are whatever the per-node
+//! sources report through [`BatchProtocol::random_bits`]. Luby MIS and trial
+//! coloring are single protocols; Elkin–Neiman runs one protocol per phase
+//! and adds the bits its radius draws consumed. The centralized versions
+//! that charge rounds analytically (`mis::luby`, `coloring::random_coloring`)
+//! remain as references, so their costs are not comparable with these.
 //!
 //! # Example
 //! ```
@@ -30,8 +30,7 @@ use locality_graph::ids::IdAssignment;
 use locality_graph::Graph;
 use locality_rand::prng::{Prng, SplitMix64};
 use locality_sim::cost::CostMeter;
-use locality_sim::engine::Mode;
-use locality_sim::executor::{BatchProtocol, Executor};
+use locality_sim::executor::{BatchProtocol, Executor, Mode};
 use std::fmt;
 
 /// Uniform cost accounting for one [`LocalAlgorithm`] execution.
@@ -47,7 +46,7 @@ pub struct RoundStats {
     pub n: usize,
     /// Communication regime the run was metered under.
     pub mode: Mode,
-    /// Engine-metered costs: rounds, messages, bits, max message size,
+    /// Executor-metered costs: rounds, messages, bits, max message size,
     /// CONGEST violations (per directed message) and random bits drawn.
     pub meter: CostMeter,
 }
@@ -102,6 +101,8 @@ pub fn node_seed(seed: u64, id: u64) -> u64 {
 /// the uniform [`AlgorithmRun`]. `max_rounds == 0` selects a generous
 /// w.h.p.-safe default of `64·(⌈log2 n⌉ + 1)` engine rounds; `threads`
 /// chunks node steps (`1` = sequential — any value is bit-identical).
+/// Random bits are whatever the protocols report through
+/// [`BatchProtocol::random_bits`].
 ///
 /// # Panics
 /// Panics if the protocol count differs from the node count or the round
@@ -113,7 +114,6 @@ pub fn run_congest_protocol<P>(
     threads: usize,
     max_rounds: u32,
     protocols: impl IntoIterator<Item = P>,
-    random_bits: impl Fn(&P) -> u64,
 ) -> AlgorithmRun<P::Output>
 where
     P: BatchProtocol + Send + Clone,
@@ -127,7 +127,7 @@ where
     };
     let mut exec = Executor::congest(g, ids);
     let run = exec
-        .run_parallel_metered(protocols, max_rounds, threads, random_bits)
+        .run(protocols, max_rounds, threads)
         .unwrap_or_else(|e| panic!("{name} must halt w.h.p. within its round budget: {e}")); // audit: allow(panic) -- w.h.p. halting budget: exceeding it disproves the bound under test
     AlgorithmRun {
         labels: run.outputs,

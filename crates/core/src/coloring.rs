@@ -353,11 +353,6 @@ impl TrialProtocol {
         }
     }
 
-    /// Random bits this node has drawn so far.
-    pub fn bits_drawn(&self) -> u64 {
-        self.src.bits_drawn()
-    }
-
     fn draw_and_propose(&mut self, out: &mut Outlet<'_, ColorMsg>) {
         let free = self.palette - self.taken.iter().filter(|&&t| t).count();
         debug_assert!(free > 0, "palette ∆+1 can never empty");
@@ -416,6 +411,10 @@ impl BatchProtocol for TrialProtocol {
             Control::Continue
         }
     }
+
+    fn random_bits(&self) -> u64 {
+        self.src.bits_drawn()
+    }
 }
 
 /// Trial (∆+1)-coloring through the unified [`LocalAlgorithm`] interface,
@@ -425,7 +424,7 @@ pub struct TrialColoring {
     /// Worker threads for node steps (`1` = sequential; `0` = all cores).
     /// Any value produces bit-identical results.
     pub threads: usize,
-    /// Engine round cap (`0` = a generous `w.h.p.`-safe default).
+    /// Executor round cap (`0` = a generous `w.h.p.`-safe default).
     pub max_rounds: u32,
 }
 
@@ -454,7 +453,6 @@ impl LocalAlgorithm for TrialColoring {
             self.threads,
             self.max_rounds,
             (0..g.node_count()).map(|v| TrialProtocol::new(palette, ids, v, seed)),
-            TrialProtocol::bits_drawn,
         )
     }
 }

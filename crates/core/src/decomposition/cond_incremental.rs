@@ -120,8 +120,8 @@ const PARALLEL_MIN_ENTRIES: usize = 64;
 const NODE_BITS: u32 = 26;
 const NODE_MASK: u32 = (1 << NODE_BITS) - 1;
 
-/// [`Engine::ball_dist`] poison for clustered nodes: any value other than
-/// `u32::MAX` keeps the ball BFS from ever visiting them.
+/// [`IncrementalEngine::ball_dist`] poison for clustered nodes: any value
+/// other than `u32::MAX` keeps the ball BFS from ever visiting them.
 const BALL_DEAD: u32 = u32::MAX - 1;
 
 /// Lookahead (in ball entries) for the sequential evaluator's software
@@ -797,7 +797,7 @@ impl FixCtx<'_> {
     }
 }
 
-struct Engine<'g> {
+struct IncrementalEngine<'g> {
     g: &'g Graph,
     cap: u32,
     nt: usize,
@@ -831,7 +831,7 @@ struct Engine<'g> {
     top2: Vec<i64>,
 }
 
-impl<'g> Engine<'g> {
+impl<'g> IncrementalEngine<'g> {
     fn new(g: &'g Graph, cap: u32, threads: usize) -> Self {
         let n = g.node_count();
         let nt = (cap - 1) as usize;
@@ -944,7 +944,7 @@ impl<'g> Engine<'g> {
         if self.partials.len() < need {
             self.partials.resize_with(need, || AtomicU64::new(0));
         }
-        let Engine {
+        let IncrementalEngine {
             nt,
             threads,
             tables,
@@ -1066,7 +1066,7 @@ pub(crate) fn run(g: &Graph, cap: u32, threads: usize) -> DerandResult {
     } else {
         threads
     };
-    let mut engine = Engine::new(g, cap, threads);
+    let mut engine = IncrementalEngine::new(g, cap, threads);
     let mut alive = vec![true; n];
     let mut labels: Vec<Option<usize>> = vec![None; n];
     let mut phase_of: Vec<Option<u32>> = vec![None; n];

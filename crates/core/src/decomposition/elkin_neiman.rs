@@ -13,11 +13,11 @@
 //! clustered per phase with constant probability ([EN16, Claim 6]), so
 //! `O(log n)` phases suffice w.h.p.
 //!
-//! The per-phase computation is executed as a genuine CONGEST
-//! message-passing protocol on the [`locality_sim`] engine: nodes gossip
-//! their current top-two `(center, value)` pairs, values decaying by one per
-//! hop; `O(cap)` rounds stabilize. Messages carry two compact
-//! `(id, value)` pairs — `O(log n)` bits.
+//! Each phase executes as a genuine CONGEST message-passing protocol, a
+//! [`BatchProtocol`] run sequentially on a standard-budget
+//! [`Executor`]: nodes gossip their current top-two `(center, value)` pairs,
+//! values decaying by one per hop; `O(cap)` rounds stabilize. Messages carry
+//! two compact `(id, value)` pairs — `O(log n)` bits.
 
 use crate::algorithm::{AlgorithmRun, LocalAlgorithm, RoundStats};
 use crate::decomposition::types::Decomposition;
@@ -28,8 +28,8 @@ use locality_rand::kwise::{flat_index, KWiseBits};
 use locality_rand::source::BitSource;
 use locality_rand::source::PrngSource;
 use locality_sim::cost::CostMeter;
-use locality_sim::engine::Engine;
-use locality_sim::node::{NodeContext, Outbox, Protocol, Step};
+use locality_sim::executor::{BatchProtocol, Control, Executor, Inbox, Mode, Outlet};
+use locality_sim::node::NodeContext;
 use locality_sim::wire::WireSize;
 
 /// Tuning parameters for the construction.
@@ -103,6 +103,7 @@ fn merge_entry(top: &mut Vec<Entry>, cand: Entry) -> bool {
 }
 
 /// Per-node protocol for one EN phase.
+#[derive(Debug, Clone)]
 struct EnPhase {
     alive: bool,
     radius: u32,
@@ -133,29 +134,29 @@ impl EnPhase {
     }
 }
 
-impl Protocol for EnPhase {
+impl BatchProtocol for EnPhase {
     type Message = EnMessage;
     type Output = Option<u64>;
 
-    fn start(&mut self, ctx: &NodeContext) -> Outbox<EnMessage> {
-        if !self.alive {
-            return Outbox::silent();
+    fn start(&mut self, ctx: &NodeContext, out: &mut Outlet<'_, EnMessage>) {
+        if self.alive {
+            merge_entry(&mut self.top, (ctx.id, self.radius as i64));
+            out.broadcast(self.message());
         }
-        merge_entry(&mut self.top, (ctx.id, self.radius as i64));
-        Outbox::broadcast(self.message())
     }
 
     fn round(
         &mut self,
         _ctx: &NodeContext,
         round: u32,
-        inbox: &[(usize, EnMessage)],
-    ) -> Step<EnMessage, Option<u64>> {
+        inbox: &Inbox<'_, EnMessage>,
+        out: &mut Outlet<'_, EnMessage>,
+    ) -> Control<Option<u64>> {
         if !self.alive {
-            return Step::Halt(None);
+            return Control::Halt(None);
         }
         self.changed = false;
-        for (_, msg) in inbox {
+        for (_, msg) in inbox.iter() {
             for &(center, value) in &msg.entries {
                 // One hop of decay.
                 if merge_entry(&mut self.top, (center, value - 1)) {
@@ -164,13 +165,12 @@ impl Protocol for EnPhase {
             }
         }
         if round >= self.deadline {
-            return Step::Halt(self.decide());
+            return Control::Halt(self.decide());
         }
         if self.changed {
-            Step::Continue(Outbox::broadcast(self.message()))
-        } else {
-            Step::Continue(Outbox::silent())
+            out.broadcast(self.message());
         }
+        Control::Continue
     }
 }
 
@@ -258,9 +258,8 @@ pub fn elkin_neiman_with_sampler(
             })
             .collect();
 
-        let mut engine = Engine::congest(g, ids);
-        let run = engine
-            .run(protocols, cfg.rounds_per_phase() + 1)
+        let run = Executor::congest(g, ids)
+            .run(protocols, cfg.rounds_per_phase() + 1, 1)
             .expect("phase protocol halts by its deadline"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
         meter += run.meter;
         meter.random_bits += random_bits;
@@ -350,7 +349,7 @@ pub fn elkin_neiman_kwise(g: &Graph, cfg: &ElkinNeimanConfig, kw: &KWiseBits) ->
 
 /// The Elkin–Neiman decomposition through the unified [`LocalAlgorithm`]
 /// interface. The construction already executes phase by phase as a CONGEST
-/// protocol on the engine; this wrapper gives it the standard
+/// protocol on the executor; this wrapper gives it the standard
 /// graph-ids-seed signature and uniform [`RoundStats`]. A node's label is
 /// its `(phase, center id)` cluster, or `None` if it survived the phase
 /// budget (the `V̄` of Theorem 4.2).
@@ -377,9 +376,9 @@ impl LocalAlgorithm for ElkinNeimanDecomposition {
             stats: RoundStats {
                 algorithm: self.name(),
                 n: g.node_count(),
-                // The phases run on `Engine::congest`, which uses exactly
+                // The phases run on `Executor::congest`, which uses exactly
                 // this mode.
-                mode: locality_sim::engine::Mode::default_congest(g),
+                mode: Mode::default_congest(g),
                 meter: out.meter,
             },
         }
@@ -530,6 +529,14 @@ mod tests {
         assert_eq!(run.stats.algorithm, "elkin-neiman");
     }
 
+    /// FNV-1a over the labels, so a pin below fits on one line.
+    fn label_hash(labels: &[Option<(u32, u64)>]) -> u64 {
+        labels.iter().fold(0xcbf2_9ce4_8422_2325, |h, l| {
+            let word = l.map_or(u64::MAX, |(p, c)| (p as u64) << 48 ^ c);
+            (h ^ word).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
     #[test]
     fn deterministic_given_same_seed() {
         let mut seed = SplitMix64::new(8);
@@ -539,5 +546,97 @@ mod tests {
         let b = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(5));
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.meter, b.meter);
+
+        // Golden pins, recorded before the phases moved onto
+        // `BatchProtocol`: labels, meter and per-phase counts must match
+        // that runtime exactly. Each pin is (graph, label hash, [rounds,
+        // messages, bits sent, max message bits, random bits], per-phase
+        // (alive, clustered)).
+        type Pin = (Graph, u64, [u64; 5], &'static [(usize, usize)]);
+        let pins: [Pin; 4] = [
+            (
+                Graph::grid(12, 12),
+                0xc2ee_0d3c_bd89_b09f,
+                [558, 71_411, 2_261_197, 32, 875],
+                &[
+                    (144, 29),
+                    (115, 54),
+                    (61, 25),
+                    (36, 4),
+                    (32, 7),
+                    (25, 12),
+                    (13, 7),
+                    (6, 4),
+                    (2, 2),
+                ],
+            ),
+            (
+                Graph::gnp_connected(200, 4.0 / 200.0, &mut SplitMix64::new(8)),
+                0xdb7f_9928_1684_35a9,
+                [434, 93_935, 2_978_485, 32, 610],
+                &[
+                    (200, 144),
+                    (56, 21),
+                    (35, 24),
+                    (11, 7),
+                    (4, 2),
+                    (2, 1),
+                    (1, 1),
+                ],
+            ),
+            (
+                Graph::random_tree(150, &mut SplitMix64::new(8)),
+                0x1c73_3976_6d1c_cafa,
+                [558, 35_172, 1_111_389, 32, 922],
+                &[
+                    (150, 30),
+                    (120, 45),
+                    (75, 34),
+                    (41, 11),
+                    (30, 8),
+                    (22, 9),
+                    (13, 11),
+                    (2, 1),
+                    (1, 1),
+                ],
+            ),
+            (
+                g,
+                0x1bc6_c2e9_6bb5_a1c0,
+                [682, 53_078, 1_471_715, 28, 458],
+                &[
+                    (60, 5),
+                    (55, 6),
+                    (49, 5),
+                    (44, 28),
+                    (16, 13),
+                    (3, 0),
+                    (3, 0),
+                    (3, 1),
+                    (2, 1),
+                    (1, 0),
+                    (1, 1),
+                ],
+            ),
+        ];
+        for (
+            i,
+            (g, hash, [rounds, messages, bits_sent, max_message_bits, random_bits], per_phase),
+        ) in pins.into_iter().enumerate()
+        {
+            let cfg = ElkinNeimanConfig::for_graph(&g);
+            let out = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(5));
+            assert_eq!(label_hash(&out.labels), hash, "graph {i}");
+            let meter = CostMeter {
+                rounds,
+                messages,
+                bits_sent,
+                max_message_bits,
+                random_bits,
+                ..CostMeter::default()
+            };
+            assert_eq!(out.meter, meter, "graph {i}");
+            assert_eq!(out.per_phase, per_phase, "graph {i}");
+        }
     }
 }

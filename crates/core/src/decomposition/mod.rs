@@ -10,7 +10,7 @@
 //! - [`types`]: the [`Decomposition`] value and its validator;
 //! - [`elkin_neiman`]: the randomized construction of [EN16] in the paper's
 //!   phase-based form (Lemma 3.3), as a real CONGEST message-passing protocol
-//!   run on the [`locality_sim`] engine;
+//!   run on the [`locality_sim`] executor;
 //! - [`carving`]: the deterministic sequential ball-carving
 //!   `(O(log n), O(log n))` SLOCAL decomposition (the [PS92]/[LS93]
 //!   substitute documented in DESIGN.md §4);

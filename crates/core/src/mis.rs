@@ -337,11 +337,6 @@ impl LubyProtocol {
         }
     }
 
-    /// Random bits this node has drawn so far.
-    pub fn bits_drawn(&self) -> u64 {
-        self.src.bits_drawn()
-    }
-
     fn draw_and_announce(&mut self, out: &mut Outlet<'_, MisMsg>) {
         self.prio = self.src.next_bits(self.prio_bits).expect("unbounded"); // audit: allow(panic) -- the seed source is constructed unbounded a few lines up
         out.broadcast(MisMsg::Priority(
@@ -390,6 +385,10 @@ impl BatchProtocol for LubyProtocol {
             Control::Continue
         }
     }
+
+    fn random_bits(&self) -> u64 {
+        self.src.bits_drawn()
+    }
 }
 
 /// Luby's MIS through the unified [`LocalAlgorithm`] interface, executed as
@@ -400,7 +399,7 @@ pub struct LubyMis {
     /// Worker threads for node steps (`1` = sequential; `0` = all cores).
     /// Any value produces bit-identical results.
     pub threads: usize,
-    /// Engine round cap (`0` = a generous `w.h.p.`-safe default).
+    /// Executor round cap (`0` = a generous `w.h.p.`-safe default).
     pub max_rounds: u32,
 }
 
@@ -428,7 +427,6 @@ impl LocalAlgorithm for LubyMis {
             self.threads,
             self.max_rounds,
             (0..g.node_count()).map(|v| LubyProtocol::new(g, ids, v, seed)),
-            LubyProtocol::bits_drawn,
         )
     }
 }

@@ -73,7 +73,7 @@ impl CostMeter {
     /// CONGEST is a per-edge budget: a broadcast from a degree-`d` node puts
     /// one message on each of its `d` ports, so an over-budget broadcast is
     /// `d` violations — counting it once would under-report congestion by a
-    /// factor of the degree. The engine's arena layout already enforces this
+    /// factor of the degree. The executor's arena layout already enforces this
     /// (each occupied edge slot is one directed message); this method is the
     /// same rule for orchestrated code that meters broadcasts in bulk.
     ///

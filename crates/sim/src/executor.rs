@@ -1,9 +1,4 @@
-//! The arena-backed batched round executor.
-//!
-//! The [`crate::engine::Engine`] interface materializes an `Outbox`/inbox
-//! `Vec` per node per round; fine for correctness work, but the per-round
-//! allocations and the strictly sequential node loop dominate at scale. This
-//! module is the hot path underneath it:
+//! The arena-backed batched round executor: the crate's one round runtime.
 //!
 //! - **Message arenas.** Every directed edge `(u, port)` owns a fixed slot in
 //!   a flat arena laid out by the graph's CSR edge index
@@ -16,25 +11,113 @@
 //!   own heap memory).
 //! - **Deterministic parallelism.** Each node writes only its own slot
 //!   segment and its own output cell, so node steps are embarrassingly
-//!   parallel *and bit-identical to the sequential order*:
-//!   [`Executor::run_parallel`] chunks the nodes across
+//!   parallel *and bit-identical to the sequential order*: with
+//!   `threads > 1`, [`Executor::run`] chunks the nodes across
 //!   [`std::thread::scope`] threads and produces exactly the outputs and
-//!   [`CostMeter`] of [`Executor::run`]. The `determinism-checks` cargo
-//!   feature makes `run_parallel` re-run sequentially and assert equality.
+//!   [`CostMeter`] of `threads = 1`. The `determinism-checks` cargo feature
+//!   makes every multi-threaded run re-run sequentially and assert equality.
 //!
-//! Protocols for this executor implement [`BatchProtocol`], writing messages
-//! through an [`Outlet`] and reading them through an [`Inbox`] view instead
-//! of building per-round collections. The legacy [`crate::node::Protocol`]
-//! trait is adapted onto this executor by [`crate::engine::Engine`], so both
-//! interfaces are metered by the same code.
+//! Protocols implement [`BatchProtocol`], writing messages through an
+//! [`Outlet`] and reading them through an [`Inbox`] view instead of building
+//! per-round collections. There are two entry points, [`Executor::run`] and
+//! [`Executor::run_with_faults`] (which injects a [`FaultPlan`] at the
+//! delivery boundary); both drive the same round loop and meter the random
+//! bits every node reports through [`BatchProtocol::random_bits`].
 
 use crate::cost::CostMeter;
-use crate::engine::{EngineError, Mode, Run};
 use crate::faults::{Delivery, FaultPlan, FaultRun, NodeOutcome};
 use crate::node::NodeContext;
 use crate::wire::WireSize;
 use locality_graph::ids::IdAssignment;
 use locality_graph::Graph;
+use std::error::Error;
+use std::fmt;
+
+/// Communication regime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Unbounded messages.
+    Local,
+    /// Messages of at most `budget_bits` bits; larger messages are delivered
+    /// but counted as violations (so experiments can report them).
+    Congest {
+        /// Per-message bit budget (`O(log n)`).
+        budget_bits: u64,
+    },
+}
+
+impl Mode {
+    /// The standard CONGEST regime for `g`: `8·⌈log2 n⌉` bits per message
+    /// (the model allows any `O(log n)`; the constant is reported, not
+    /// hidden). This is the single definition the executor and the
+    /// algorithm wrappers share.
+    pub fn default_congest(g: &Graph) -> Self {
+        Mode::Congest {
+            budget_bits: 8 * g.log2_n() as u64,
+        }
+    }
+}
+
+/// Error from [`Executor::run`] and [`Executor::run_with_faults`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// The number of protocol instances differed from the node count.
+    WrongNodeCount {
+        /// Instances supplied.
+        got: usize,
+        /// Nodes in the graph.
+        expected: usize,
+    },
+    /// Some node had not halted after the round limit.
+    RoundLimit {
+        /// The limit that was hit.
+        limit: u32,
+        /// How many nodes were still running.
+        still_running: usize,
+    },
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::WrongNodeCount { got, expected } => {
+                write!(f, "expected {expected} protocol instances, got {got}")
+            }
+            EngineError::RoundLimit {
+                limit,
+                still_running,
+            } => write!(
+                f,
+                "round limit {limit} reached with {still_running} nodes still running"
+            ),
+        }
+    }
+}
+
+impl Error for EngineError {}
+
+/// Result of a completed run.
+#[derive(Debug, Clone)]
+pub struct Run<O> {
+    /// Per-node outputs, indexed by node.
+    pub outputs: Vec<O>,
+    /// Cost accounting for the whole execution.
+    pub meter: CostMeter,
+    /// The CONGEST per-message budget the run was metered against (`None`
+    /// in LOCAL mode) — kept on the result so violation counts are
+    /// interpretable without the executor at hand.
+    pub budget_bits: Option<u64>,
+}
+
+impl<O> Run<O> {
+    /// Whether the execution stayed within its CONGEST budget (vacuously
+    /// true in LOCAL mode). Violations themselves are counted per directed
+    /// message in [`CostMeter::congest_violations`]: an over-budget
+    /// broadcast from a degree-`d` node is `d` violations, not one.
+    pub fn congest_clean(&self) -> bool {
+        self.meter.congest_clean()
+    }
+}
 
 /// A node's decision after a batched round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,9 +170,11 @@ impl<'a, M> Inbox<'a, M> {
 
 /// Write view of one node's outgoing edge slots for the current round.
 ///
-/// The slots start empty each round; writing the same port twice keeps the
-/// last message (a later [`Outlet::send`] overrides an earlier
-/// [`Outlet::broadcast`] on that port, matching the engine's semantics).
+/// Ports are neighbor *indices* `0..degree` (a node does not a priori know
+/// its neighbors' ids — it learns them by communication). The slots start
+/// empty each round and each holds one message: writing the same port twice
+/// keeps the last message, so a later [`Outlet::send`] overrides an earlier
+/// [`Outlet::broadcast`] on that port.
 #[derive(Debug)]
 pub struct Outlet<'a, M> {
     node: usize,
@@ -128,11 +213,14 @@ impl<M: Clone> Outlet<'_, M> {
     }
 }
 
-/// A synchronous protocol over the arena executor, one instance per node.
+/// A synchronous message-passing protocol, one instance per node.
 ///
-/// Like [`crate::node::Protocol`], but messages are exchanged through slot
-/// views instead of per-round collections, so a well-behaved implementation
-/// allocates nothing in its `round`.
+/// The executor calls [`BatchProtocol::start`] before round 1 to collect the
+/// first messages, then calls [`BatchProtocol::round`] once per round with
+/// the messages that arrived. A node halts by returning [`Control::Halt`];
+/// the run ends when every node has halted. Messages are exchanged through
+/// slot views instead of per-round collections, so a well-behaved
+/// implementation allocates nothing in its `round`.
 pub trait BatchProtocol {
     /// Message type (must report its wire size for CONGEST accounting).
     type Message: Clone + WireSize;
@@ -150,14 +238,22 @@ pub trait BatchProtocol {
         inbox: &Inbox<'_, Self::Message>,
         out: &mut Outlet<'_, Self::Message>,
     ) -> Control<Self::Output>;
+
+    /// Random bits this node has drawn so far. The executor sums it over all
+    /// nodes into [`CostMeter::random_bits`] when a run ends; a protocol that
+    /// draws no randomness keeps the default of 0.
+    fn random_bits(&self) -> u64 {
+        0
+    }
 }
 
 /// The arena-backed executor for one graph.
 ///
-/// Construction mirrors [`crate::engine::Engine`]; [`Executor::run`] is the
-/// sequential reference order and [`Executor::run_parallel`] the chunked
-/// parallel order, which is guaranteed (and under the `determinism-checks`
-/// feature, asserted) to produce bit-identical results.
+/// [`Executor::run`] runs a protocol to quiescence and
+/// [`Executor::run_with_faults`] does the same under a [`FaultPlan`]. Both
+/// take a thread count: `1` is the sequential reference order, `0` means
+/// available parallelism, and every value produces bit-identical results
+/// (asserted under the `determinism-checks` feature).
 ///
 /// # Example
 /// ```
@@ -166,6 +262,7 @@ pub trait BatchProtocol {
 /// use locality_sim::node::NodeContext;
 ///
 /// /// Every node halts with the number of neighbors that greeted it.
+/// #[derive(Clone)]
 /// struct Hello;
 /// impl BatchProtocol for Hello {
 ///     type Message = u64;
@@ -186,7 +283,7 @@ pub trait BatchProtocol {
 ///
 /// let g = Graph::cycle(5);
 /// let ids = IdAssignment::sequential(5);
-/// let run = Executor::congest(&g, &ids).run((0..5).map(|_| Hello), 10).unwrap();
+/// let run = Executor::congest(&g, &ids).run((0..5).map(|_| Hello), 10, 1).unwrap();
 /// assert!(run.outputs.iter().all(|&d| d == 2));
 /// assert_eq!(run.meter.rounds, 1);
 /// ```
@@ -197,18 +294,17 @@ pub struct Executor<'g> {
     mode: Mode,
 }
 
+/// Per-node outputs (`None` for a node that crashed) and the meter of a
+/// finished run, before it is shaped into a [`Run`] or a [`FaultRun`].
+type Finished<O> = (Vec<Option<O>>, CostMeter);
+
 impl<'g> Executor<'g> {
     /// A LOCAL-model executor (unbounded messages).
     ///
     /// # Panics
     /// Panics if `ids` does not match `graph`.
     pub fn local(graph: &'g Graph, ids: &'g IdAssignment) -> Self {
-        assert!(ids.matches(graph), "id assignment must match graph");
-        Self {
-            graph,
-            ids,
-            mode: Mode::Local,
-        }
+        Self::with_mode(graph, ids, Mode::Local)
     }
 
     /// A CONGEST-model executor with the standard budget
@@ -217,12 +313,7 @@ impl<'g> Executor<'g> {
     /// # Panics
     /// Panics if `ids` does not match `graph`.
     pub fn congest(graph: &'g Graph, ids: &'g IdAssignment) -> Self {
-        assert!(ids.matches(graph), "id assignment must match graph");
-        Self {
-            graph,
-            ids,
-            mode: Mode::default_congest(graph),
-        }
+        Self::with_mode(graph, ids, Mode::default_congest(graph))
     }
 
     /// A CONGEST-model executor with an explicit per-message budget.
@@ -230,12 +321,12 @@ impl<'g> Executor<'g> {
     /// # Panics
     /// Panics if `ids` does not match `graph`.
     pub fn congest_with_budget(graph: &'g Graph, ids: &'g IdAssignment, budget_bits: u64) -> Self {
+        Self::with_mode(graph, ids, Mode::Congest { budget_bits })
+    }
+
+    fn with_mode(graph: &'g Graph, ids: &'g IdAssignment, mode: Mode) -> Self {
         assert!(ids.matches(graph), "id assignment must match graph");
-        Self {
-            graph,
-            ids,
-            mode: Mode::Congest { budget_bits },
-        }
+        Self { graph, ids, mode }
     }
 
     /// The communication mode.
@@ -255,67 +346,22 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// Execute `protocols` sequentially (the reference order).
+    /// Execute `protocols` (one per node, in node order) until every node
+    /// has halted or `max_rounds` elapses, with node steps chunked across
+    /// `threads` scoped threads (`1` = the sequential reference order, `0` =
+    /// available parallelism).
+    ///
+    /// Outputs and meter are bit-identical for every thread count: each node
+    /// writes only its own slot segment and output cell, and metering is a
+    /// deterministic pass over the arena in slot order. The
+    /// `Clone`/`PartialEq`/`Debug` bounds exist so the `determinism-checks`
+    /// cargo feature can re-run a multi-threaded run sequentially and assert
+    /// the equivalence; they are required unconditionally so enabling the
+    /// feature is additive (it changes behavior, never the API).
     ///
     /// # Errors
     /// [`EngineError::WrongNodeCount`] or [`EngineError::RoundLimit`].
-    pub fn run<P: BatchProtocol>(
-        &mut self,
-        protocols: impl IntoIterator<Item = P>,
-        max_rounds: u32,
-    ) -> Result<Run<P::Output>, EngineError> {
-        self.run_metered(protocols, max_rounds, |_| 0)
-    }
-
-    /// Like [`Executor::run`], but additionally sums per-node random-bit
-    /// usage reported by `random_bits(&protocol)` after completion.
-    ///
-    /// # Errors
-    /// [`EngineError::WrongNodeCount`] or [`EngineError::RoundLimit`].
-    pub fn run_metered<P: BatchProtocol>(
-        &mut self,
-        protocols: impl IntoIterator<Item = P>,
-        max_rounds: u32,
-        random_bits: impl Fn(&P) -> u64,
-    ) -> Result<Run<P::Output>, EngineError> {
-        let nodes: Vec<P> = protocols.into_iter().collect();
-        let graph = self.graph;
-        self.drive(
-            nodes,
-            max_rounds,
-            &random_bits,
-            |nodes, outputs, write, read, contexts, round| {
-                step_chunk(
-                    graph,
-                    contexts,
-                    0,
-                    nodes,
-                    outputs,
-                    write,
-                    0,
-                    read,
-                    &[],
-                    round,
-                )
-            },
-        )
-    }
-
-    /// Execute `protocols` with node steps chunked across `threads` scoped
-    /// threads (`0` = available parallelism). Outputs and meter are
-    /// bit-identical to [`Executor::run`]: every node writes only its own
-    /// slot segment and output cell, and metering is a deterministic pass
-    /// over the arena in slot order.
-    ///
-    /// The `Clone`/`PartialEq`/`Debug` bounds exist so the
-    /// `determinism-checks` cargo feature can re-run the protocol
-    /// sequentially and assert the equivalence; the bounds are required
-    /// unconditionally so enabling the feature is additive (it changes
-    /// behavior, never the API).
-    ///
-    /// # Errors
-    /// [`EngineError::WrongNodeCount`] or [`EngineError::RoundLimit`].
-    pub fn run_parallel<P>(
+    pub fn run<P>(
         &mut self,
         protocols: impl IntoIterator<Item = P>,
         max_rounds: u32,
@@ -324,41 +370,99 @@ impl<'g> Executor<'g> {
     where
         P: BatchProtocol + Send + Clone,
         P::Message: Send + Sync,
-        P::Output: Send + PartialEq + std::fmt::Debug,
+        P::Output: Send + PartialEq + fmt::Debug,
     {
-        self.run_parallel_metered(protocols, max_rounds, threads, |_| 0)
+        let (outputs, meter) = self.execute(protocols, max_rounds, threads, None)?;
+        let outputs = outputs
+            .into_iter()
+            .map(|h| h.expect("all nodes halted")) // audit: allow(panic) -- without a fault plan no node crashes, and the loop only succeeds once every node halted
+            .collect();
+        Ok(Run {
+            outputs,
+            meter,
+            budget_bits: self.budget(),
+        })
     }
 
-    /// [`Executor::run_parallel`] with random-bit accounting, as in
-    /// [`Executor::run_metered`].
+    /// [`Executor::run`] under the fault schedule `plan`.
+    ///
+    /// Faults are injected at the delivery boundary between the write and
+    /// read arenas (see [`crate::faults`] for the exact semantics). Every
+    /// fault decision is a pure function of the plan and the `(round, slot)`
+    /// or node coordinates, so outcomes and meter are bit-identical for
+    /// every thread count. A plan with all rates zero delivers exactly what
+    /// the fault-free loop delivers: the outcomes and meter equal
+    /// [`Executor::run`]'s bit for bit.
     ///
     /// # Errors
-    /// [`EngineError::WrongNodeCount`] or [`EngineError::RoundLimit`].
-    pub fn run_parallel_metered<P>(
+    /// [`EngineError::WrongNodeCount`], or [`EngineError::RoundLimit`] when
+    /// live (non-crashed, non-halted) nodes remain at the budget.
+    pub fn run_with_faults<P>(
         &mut self,
         protocols: impl IntoIterator<Item = P>,
         max_rounds: u32,
         threads: usize,
-        random_bits: impl Fn(&P) -> u64,
-    ) -> Result<Run<P::Output>, EngineError>
+        plan: &FaultPlan,
+    ) -> Result<FaultRun<P::Output>, EngineError>
     where
         P: BatchProtocol + Send + Clone,
         P::Message: Send + Sync,
-        P::Output: Send + PartialEq + std::fmt::Debug,
+        P::Output: Send + PartialEq + fmt::Debug,
+    {
+        let (outputs, meter) = self.execute(protocols, max_rounds, threads, Some(plan))?;
+        let outcomes = outputs
+            .into_iter()
+            .enumerate()
+            .map(|(v, out)| match out {
+                Some(o) => NodeOutcome::Halted(o),
+                // The loop only succeeds once every live node halted, so an
+                // output-less node necessarily crashed.
+                None => NodeOutcome::Crashed {
+                    round: plan.crash_round_of(v).unwrap_or(0),
+                },
+            })
+            .collect();
+        Ok(FaultRun {
+            outcomes,
+            meter,
+            budget_bits: self.budget(),
+        })
+    }
+
+    /// Resolve the thread count and run the round loop; under the
+    /// `determinism-checks` feature, a multi-threaded run is repeated
+    /// sequentially and the two results must agree.
+    fn execute<P>(
+        &self,
+        protocols: impl IntoIterator<Item = P>,
+        max_rounds: u32,
+        threads: usize,
+        plan: Option<&FaultPlan>,
+    ) -> Result<Finished<P::Output>, EngineError>
+    where
+        P: BatchProtocol + Send + Clone,
+        P::Message: Send + Sync,
+        P::Output: Send + PartialEq + fmt::Debug,
     {
         let nodes: Vec<P> = protocols.into_iter().collect();
+        let threads = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            threads
+        };
+        let chunks = threads.min(self.graph.node_count().max(1));
         #[cfg(feature = "determinism-checks")]
-        {
-            let reference = self.run_metered(nodes.clone(), max_rounds, &random_bits);
-            let parallel = self.run_parallel_inner(nodes, max_rounds, threads, &random_bits);
+        if chunks > 1 {
+            let reference = self.drive(nodes.clone(), max_rounds, 1, plan);
+            let parallel = self.drive(nodes, max_rounds, chunks, plan);
             match (&reference, &parallel) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(
-                        a.meter, b.meter,
+                        a.1, b.1,
                         "determinism check: parallel meter diverged from sequential"
                     );
                     assert_eq!(
-                        a.outputs, b.outputs,
+                        a.0, b.0,
                         "determinism check: parallel outputs diverged from sequential"
                     );
                 }
@@ -367,77 +471,36 @@ impl<'g> Executor<'g> {
                 }
                 _ => panic!("determinism check: parallel and sequential outcomes diverged"), // audit: allow(panic) -- determinism diagnostic: divergence must abort loudly, not be smoothed over
             }
-            parallel
+            return parallel;
         }
-        #[cfg(not(feature = "determinism-checks"))]
-        {
-            self.run_parallel_inner(nodes, max_rounds, threads, &random_bits)
-        }
+        self.drive(nodes, max_rounds, chunks, plan)
     }
 
-    fn run_parallel_inner<P>(
-        &mut self,
-        nodes: Vec<P>,
+    /// The round loop: arena setup, the per-round delivery pass, node steps
+    /// on `chunks` threads, halt bookkeeping, and final accounting.
+    ///
+    /// Without a plan, delivery meters what was just written, clears the
+    /// consumed arena and flips the two. With one, each written message is
+    /// routed through the plan's [`FaultPlan::message_fate`] (drop / delay /
+    /// duplicate), matured late copies are merged with seeded reordering,
+    /// and crash-stopped nodes are masked out of the step. A pass-through
+    /// plan makes the same `record_message` calls in the same slot order as
+    /// the fault-free pass, which is what makes rate-0 plans bit-identical
+    /// to no plan at all.
+    fn drive<P>(
+        &self,
+        mut nodes: Vec<P>,
         max_rounds: u32,
-        threads: usize,
-        random_bits: &impl Fn(&P) -> u64,
-    ) -> Result<Run<P::Output>, EngineError>
+        chunks: usize,
+        plan: Option<&FaultPlan>,
+    ) -> Result<Finished<P::Output>, EngineError>
     where
         P: BatchProtocol + Send,
         P::Message: Send + Sync,
         P::Output: Send,
     {
-        let n = self.graph.node_count();
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        let chunks = threads.min(n.max(1));
-        if chunks <= 1 {
-            return self.run_metered(nodes, max_rounds, random_bits);
-        }
-        let bounds = chunk_bounds(n, chunks);
         let graph = self.graph;
-        self.drive(
-            nodes,
-            max_rounds,
-            random_bits,
-            |nodes, outputs, write, read, contexts, round| {
-                parallel_step(
-                    graph,
-                    &bounds,
-                    contexts,
-                    nodes,
-                    outputs,
-                    write,
-                    read,
-                    &[],
-                    round,
-                )
-            },
-        )
-    }
-
-    /// The shared round loop: arena setup, the per-round
-    /// meter-clear-and-flip delivery pass, halt bookkeeping, and final
-    /// accounting. `step` runs all still-active nodes for one round and
-    /// returns how many are still running.
-    fn drive<P: BatchProtocol>(
-        &mut self,
-        mut nodes: Vec<P>,
-        max_rounds: u32,
-        random_bits: &impl Fn(&P) -> u64,
-        mut step: impl FnMut(
-            &mut [P],
-            &mut [Option<P::Output>],
-            &mut [Option<P::Message>],
-            &[Option<P::Message>],
-            &[NodeContext],
-            u32,
-        ) -> usize,
-    ) -> Result<Run<P::Output>, EngineError> {
-        let n = self.graph.node_count();
+        let n = graph.node_count();
         if nodes.len() != n {
             return Err(EngineError::WrongNodeCount {
                 got: nodes.len(),
@@ -448,283 +511,45 @@ impl<'g> Executor<'g> {
             .map(|v| NodeContext {
                 node: v,
                 id: self.ids.id_of(v),
-                degree: self.graph.degree(v),
+                degree: graph.degree(v),
                 n,
             })
             .collect();
-        let slots = self.graph.directed_edge_count();
-        // The two arenas; after setup the round loop only moves `Option`s in
-        // place and swaps the buffers, never reallocating.
-        let mut read: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
-        let mut write: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let budget = self.budget();
-        let mut meter = CostMeter::default();
-
-        for v in 0..n {
-            let mut out = Outlet {
-                node: v,
-                slots: &mut write[self.graph.edge_slots(v)],
-            };
-            nodes[v].start(&contexts[v], &mut out);
-        }
-
-        let mut rounds_used = 0;
-        if n > 0 && max_rounds == 0 {
-            return Err(EngineError::RoundLimit {
-                limit: 0,
-                still_running: n,
-            });
-        }
-        for round in 1..=max_rounds {
-            // Deliver: meter what was just written, clear the consumed arena,
-            // flip. Readers then see the fresh messages through their mirror
-            // slots; no copying happens.
-            for msg in write.iter().flatten() {
-                meter.record_message(msg.wire_bits(), budget);
-            }
-            for slot in read.iter_mut() {
-                *slot = None;
-            }
-            std::mem::swap(&mut read, &mut write);
-
-            let still_running = step(
-                &mut nodes,
-                &mut outputs,
-                &mut write,
-                &read,
-                &contexts,
-                round,
-            );
-            rounds_used = round;
-            if still_running == 0 {
-                break;
-            }
-            if round == max_rounds {
-                return Err(EngineError::RoundLimit {
-                    limit: max_rounds,
-                    still_running,
-                });
-            }
-        }
-
-        meter.rounds = rounds_used as u64;
-        meter.random_bits = nodes.iter().map(random_bits).sum();
-        let outputs = outputs
-            .into_iter()
-            .map(|h| h.expect("all nodes halted")) // audit: allow(panic) -- executor ran to quiescence on the line above; a non-halted node is a logic bug
-            .collect();
-        Ok(Run {
-            outputs,
-            meter,
-            budget_bits: budget,
-        })
-    }
-
-    /// Execute `protocols` sequentially under the fault schedule `plan`.
-    ///
-    /// Faults are injected at the delivery boundary between the write and
-    /// read arenas (see [`crate::faults`] for the exact semantics). A plan
-    /// with all rates zero takes exactly the fault-free delivery path: the
-    /// outcomes and meter equal [`Executor::run`]'s bit for bit.
-    ///
-    /// # Errors
-    /// [`EngineError::WrongNodeCount`], or [`EngineError::RoundLimit`] when
-    /// live (non-crashed, non-halted) nodes remain at the budget.
-    pub fn run_with_faults<P: BatchProtocol>(
-        &mut self,
-        protocols: impl IntoIterator<Item = P>,
-        max_rounds: u32,
-        plan: &FaultPlan,
-    ) -> Result<FaultRun<P::Output>, EngineError> {
-        self.run_with_faults_metered(protocols, max_rounds, plan, |_| 0)
-    }
-
-    /// [`Executor::run_with_faults`] with random-bit accounting, as in
-    /// [`Executor::run_metered`].
-    ///
-    /// # Errors
-    /// [`EngineError::WrongNodeCount`] or [`EngineError::RoundLimit`].
-    pub fn run_with_faults_metered<P: BatchProtocol>(
-        &mut self,
-        protocols: impl IntoIterator<Item = P>,
-        max_rounds: u32,
-        plan: &FaultPlan,
-        random_bits: impl Fn(&P) -> u64,
-    ) -> Result<FaultRun<P::Output>, EngineError> {
-        let nodes: Vec<P> = protocols.into_iter().collect();
-        let graph = self.graph;
-        self.drive_faulty(
-            nodes,
-            max_rounds,
-            plan,
-            &random_bits,
-            |nodes, outputs, write, read, contexts, crashed, round| {
-                step_chunk(
-                    graph, contexts, 0, nodes, outputs, write, 0, read, crashed, round,
-                )
-            },
-        )
-    }
-
-    /// [`Executor::run_with_faults`] with node steps chunked across
-    /// `threads` scoped threads (`0` = available parallelism). Every fault
-    /// decision is a pure function of the plan and the `(round, slot)` or
-    /// node coordinates, so outcomes and meter are bit-identical to the
-    /// sequential order for every thread count (asserted under the
-    /// `determinism-checks` cargo feature, with the same unconditional
-    /// bounds as [`Executor::run_parallel`]).
-    ///
-    /// # Errors
-    /// [`EngineError::WrongNodeCount`] or [`EngineError::RoundLimit`].
-    pub fn run_parallel_with_faults<P>(
-        &mut self,
-        protocols: impl IntoIterator<Item = P>,
-        max_rounds: u32,
-        threads: usize,
-        plan: &FaultPlan,
-    ) -> Result<FaultRun<P::Output>, EngineError>
-    where
-        P: BatchProtocol + Send + Clone,
-        P::Message: Send + Sync,
-        P::Output: Send + PartialEq + std::fmt::Debug,
-    {
-        let nodes: Vec<P> = protocols.into_iter().collect();
-        #[cfg(feature = "determinism-checks")]
-        {
-            let reference = self.run_with_faults(nodes.clone(), max_rounds, plan);
-            let parallel = self.run_parallel_with_faults_inner(nodes, max_rounds, threads, plan);
-            match (&reference, &parallel) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.meter, b.meter,
-                        "determinism check: faulty parallel meter diverged from sequential"
-                    );
-                    assert_eq!(
-                        a.outcomes, b.outcomes,
-                        "determinism check: faulty parallel outcomes diverged from sequential"
-                    );
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a, b, "determinism check: faulty error outcomes diverged");
-                }
-                _ => panic!("determinism check: faulty parallel and sequential outcomes diverged"), // audit: allow(panic) -- determinism diagnostic: divergence must abort loudly, not be smoothed over
-            }
-            parallel
-        }
-        #[cfg(not(feature = "determinism-checks"))]
-        {
-            self.run_parallel_with_faults_inner(nodes, max_rounds, threads, plan)
-        }
-    }
-
-    fn run_parallel_with_faults_inner<P>(
-        &mut self,
-        nodes: Vec<P>,
-        max_rounds: u32,
-        threads: usize,
-        plan: &FaultPlan,
-    ) -> Result<FaultRun<P::Output>, EngineError>
-    where
-        P: BatchProtocol + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-    {
-        let n = self.graph.node_count();
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        let chunks = threads.min(n.max(1));
-        if chunks <= 1 {
-            return self.run_with_faults_metered(nodes, max_rounds, plan, |_| 0);
-        }
         let bounds = chunk_bounds(n, chunks);
-        let graph = self.graph;
-        self.drive_faulty(
-            nodes,
-            max_rounds,
-            plan,
-            &|_| 0,
-            |nodes, outputs, write, read, contexts, crashed, round| {
-                parallel_step(
-                    graph, &bounds, contexts, nodes, outputs, write, read, crashed, round,
-                )
-            },
-        )
-    }
-
-    /// The faulty round loop: like [`Executor::drive`], but the delivery
-    /// pass routes each written message through the plan's
-    /// [`FaultPlan::message_fate`] (drop / delay / duplicate), merges
-    /// matured late copies with seeded reordering, and masks crash-stopped
-    /// nodes out of the step.
-    ///
-    /// With a pass-through plan the delivery pass degenerates to exactly
-    /// the fault-free one — same `record_message` calls in the same slot
-    /// order — which is what makes rate-0 plans bit-identical to
-    /// [`Executor::drive`].
-    fn drive_faulty<P: BatchProtocol>(
-        &mut self,
-        mut nodes: Vec<P>,
-        max_rounds: u32,
-        plan: &FaultPlan,
-        random_bits: &impl Fn(&P) -> u64,
-        mut step: impl FnMut(
-            &mut [P],
-            &mut [Option<P::Output>],
-            &mut [Option<P::Message>],
-            &[Option<P::Message>],
-            &[NodeContext],
-            &[bool],
-            u32,
-        ) -> usize,
-    ) -> Result<FaultRun<P::Output>, EngineError> {
-        let n = self.graph.node_count();
-        if nodes.len() != n {
-            return Err(EngineError::WrongNodeCount {
-                got: nodes.len(),
-                expected: n,
-            });
-        }
-        let contexts: Vec<NodeContext> = (0..n)
-            .map(|v| NodeContext {
-                node: v,
-                id: self.ids.id_of(v),
-                degree: self.graph.degree(v),
-                n,
-            })
-            .collect();
-        let slots = self.graph.directed_edge_count();
+        let slots = graph.directed_edge_count();
+        // The two arenas; after setup the fault-free loop only moves
+        // `Option`s in place and swaps the buffers, never reallocating.
         let mut read: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
         let mut write: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
         let budget = self.budget();
         let mut meter = CostMeter::default();
 
-        let crash_at: Vec<Option<u32>> = (0..n).map(|v| plan.crash_round_of(v)).collect();
+        // Fault state, all empty without a plan: per-node crash rounds, the
+        // crashed mask, and a ring of future deliveries in which
+        // `pending[r % horizon]` holds the late copies maturing at round `r`
+        // (delays are `< horizon`, so a bucket is always drained before it
+        // is reused).
+        let crash_at: Vec<Option<u32>> =
+            plan.map_or_else(Vec::new, |p| (0..n).map(|v| p.crash_round_of(v)).collect());
         let mut crashed: Vec<bool> = crash_at.iter().map(|c| *c == Some(0)).collect();
-        // Ring of future deliveries: `pending[r % horizon]` holds the late
-        // copies maturing at round `r` (delays are `< horizon`, so a bucket
-        // is always drained before it is reused).
-        let horizon = plan.delay_horizon();
+        let horizon = plan.map_or(0, FaultPlan::delay_horizon);
         let mut pending: Vec<Vec<(usize, P::Message)>> = (0..horizon).map(|_| Vec::new()).collect();
 
         for v in 0..n {
-            if crashed[v] {
+            if !crashed.is_empty() && crashed[v] {
                 continue; // a node crashing at round 0 never starts
             }
             let mut out = Outlet {
                 node: v,
-                slots: &mut write[self.graph.edge_slots(v)],
+                slots: &mut write[graph.edge_slots(v)],
             };
             nodes[v].start(&contexts[v], &mut out);
         }
 
         let mut rounds_used = 0;
-        if n > 0 && max_rounds == 0 {
-            let still_running = crashed.iter().filter(|&&c| !c).count();
+        if max_rounds == 0 {
+            let still_running = n - crashed.iter().filter(|&&c| c).count();
             if still_running > 0 {
                 return Err(EngineError::RoundLimit {
                     limit: 0,
@@ -733,65 +558,62 @@ impl<'g> Executor<'g> {
             }
         }
         for round in 1..=max_rounds {
-            // Delivery with fault injection: every fresh send is routed by
-            // its fate, then this round's matured late copies are merged.
-            for slot in read.iter_mut() {
-                *slot = None;
-            }
-            for slot in 0..slots {
-                let Some(msg) = write[slot].take() else {
-                    continue;
-                };
-                let fate = plan.message_fate(round, slot);
-                if let Some(extra) = fate.duplicate {
-                    meter.duplicated += 1;
-                    pending[(round as usize + extra as usize) % horizon].push((slot, msg.clone()));
-                }
-                match fate.primary {
-                    Delivery::Deliver => {
+            match plan {
+                None => {
+                    // Readers see the fresh messages through their mirror
+                    // slots once the arenas flip; no copying happens.
+                    for msg in write.iter().flatten() {
                         meter.record_message(msg.wire_bits(), budget);
-                        read[slot] = Some(msg);
                     }
-                    Delivery::Drop => meter.dropped += 1,
-                    Delivery::Delay(extra) => {
-                        meter.delayed += 1;
-                        pending[(round as usize + extra as usize) % horizon].push((slot, msg));
+                    for slot in read.iter_mut() {
+                        *slot = None;
                     }
+                    std::mem::swap(&mut read, &mut write);
                 }
-            }
-            let mut matured = std::mem::take(&mut pending[round as usize % horizon]);
-            for (slot, msg) in matured.drain(..) {
-                // A late copy still arrives (and is metered); when it races
-                // a message already delivered on the same edge this round,
-                // the seeded reorder coin picks the copy the receiver
-                // observes and the superseded one counts as dropped.
-                meter.record_message(msg.wire_bits(), budget);
-                if read[slot].is_none() {
-                    read[slot] = Some(msg);
-                } else {
-                    meter.dropped += 1;
-                    if plan.late_wins(round, slot) {
-                        read[slot] = Some(msg);
+                Some(plan) => {
+                    deliver_with_faults(
+                        plan,
+                        round,
+                        &mut read,
+                        &mut write,
+                        &mut pending,
+                        &mut meter,
+                        budget,
+                    );
+                    for (v, c) in crash_at.iter().enumerate() {
+                        if *c == Some(round) {
+                            crashed[v] = true; // stops executing from this round on
+                        }
                     }
-                }
-            }
-            pending[round as usize % horizon] = matured; // keep the allocation
-
-            for (v, c) in crash_at.iter().enumerate() {
-                if *c == Some(round) {
-                    crashed[v] = true; // stops executing from this round on
                 }
             }
 
-            let still_running = step(
-                &mut nodes,
-                &mut outputs,
-                &mut write,
-                &read,
-                &contexts,
-                &crashed,
-                round,
-            );
+            let still_running = if bounds.len() > 1 {
+                parallel_step(
+                    graph,
+                    &bounds,
+                    &contexts,
+                    &mut nodes,
+                    &mut outputs,
+                    &mut write,
+                    &read,
+                    &crashed,
+                    round,
+                )
+            } else {
+                step_chunk(
+                    graph,
+                    &contexts,
+                    0,
+                    &mut nodes,
+                    &mut outputs,
+                    &mut write,
+                    0,
+                    &read,
+                    &crashed,
+                    round,
+                )
+            };
             rounds_used = round;
             if still_running == 0 {
                 break;
@@ -805,25 +627,65 @@ impl<'g> Executor<'g> {
         }
 
         meter.rounds = rounds_used as u64;
-        meter.random_bits = nodes.iter().map(random_bits).sum();
-        let outcomes = outputs
-            .into_iter()
-            .zip(&crash_at)
-            .map(|(out, crash)| match out {
-                Some(o) => NodeOutcome::Halted(o),
-                // The loop only exits success once every live node halted,
-                // so an output-less node necessarily crashed.
-                None => NodeOutcome::Crashed {
-                    round: crash.unwrap_or(0),
-                },
-            })
-            .collect();
-        Ok(FaultRun {
-            outcomes,
-            meter,
-            budget_bits: budget,
-        })
+        meter.random_bits = nodes.iter().map(P::random_bits).sum();
+        Ok((outputs, meter))
     }
+}
+
+/// The faulty delivery pass for `round`: every fresh send in `write` is
+/// routed by its fate into `read` or the `pending` ring, then this round's
+/// matured late copies are merged.
+fn deliver_with_faults<M: Clone + WireSize>(
+    plan: &FaultPlan,
+    round: u32,
+    read: &mut [Option<M>],
+    write: &mut [Option<M>],
+    pending: &mut [Vec<(usize, M)>],
+    meter: &mut CostMeter,
+    budget: Option<u64>,
+) {
+    let horizon = pending.len();
+    for slot in read.iter_mut() {
+        *slot = None;
+    }
+    for (slot, sent) in write.iter_mut().enumerate() {
+        let Some(msg) = sent.take() else {
+            continue;
+        };
+        let fate = plan.message_fate(round, slot);
+        if let Some(extra) = fate.duplicate {
+            meter.duplicated += 1;
+            pending[(round as usize + extra as usize) % horizon].push((slot, msg.clone()));
+        }
+        match fate.primary {
+            Delivery::Deliver => {
+                meter.record_message(msg.wire_bits(), budget);
+                read[slot] = Some(msg);
+            }
+            Delivery::Drop => meter.dropped += 1,
+            Delivery::Delay(extra) => {
+                meter.delayed += 1;
+                pending[(round as usize + extra as usize) % horizon].push((slot, msg));
+            }
+        }
+    }
+    let mut matured = std::mem::take(&mut pending[round as usize % horizon]);
+    for (slot, msg) in matured.drain(..) {
+        // A late copy still arrives (and is metered); when it races a
+        // message already delivered on the same edge this round, the seeded
+        // reorder coin picks the copy the receiver observes and the
+        // superseded one counts as dropped.
+        meter.record_message(msg.wire_bits(), budget);
+        if read[slot].is_none() {
+            read[slot] = Some(msg);
+        } else {
+            meter.dropped += 1;
+            if plan.late_wins(round, slot) {
+                read[slot] = Some(msg);
+            }
+        }
+    }
+    pending[round as usize % horizon] = matured; // keep the allocation
 }
 
 /// Contiguous node chunk bounds for `chunks`-way parallel stepping.
@@ -837,8 +699,7 @@ fn chunk_bounds(n: usize, chunks: usize) -> Vec<(usize, usize)> {
 
 /// One parallel round: split nodes/outputs/write along `bounds` (slot
 /// segments follow the CSR offsets) and step every chunk on its own scoped
-/// thread. Shared by the fault-free and faulty drivers (`crashed` is empty
-/// on the fault-free path).
+/// thread (`crashed` is empty when no fault plan is in force).
 #[allow(clippy::too_many_arguments)]
 fn parallel_step<P>(
     graph: &Graph,
@@ -957,13 +818,15 @@ fn step_chunk<P: BatchProtocol>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use locality_graph::prelude::*;
+    use locality_rand::source::{BitSource, PrngSource};
 
-    /// BFS flooding (mirrors the engine test, through the batched interface).
+    /// BFS flooding: each node halts at the deadline with its distance from
+    /// the nearest source.
     #[derive(Debug, Clone)]
-    struct Flood {
+    pub(crate) struct Flood {
         is_source: bool,
         dist: Option<u32>,
         deadline: u32,
@@ -1000,7 +863,7 @@ mod tests {
         }
     }
 
-    fn flood_protocols(g: &Graph, sources: &[usize], deadline: u32) -> Vec<Flood> {
+    pub(crate) fn flood_protocols(g: &Graph, sources: &[usize], deadline: u32) -> Vec<Flood> {
         (0..g.node_count())
             .map(|v| Flood {
                 is_source: sources.contains(&v),
@@ -1010,12 +873,50 @@ mod tests {
             .collect()
     }
 
+    /// Flips one metered coin per round and broadcasts it, so a run's
+    /// random-bit count is nonzero and known in advance: one bit in `start`
+    /// and one in every round before the deadline.
+    #[derive(Debug, Clone)]
+    struct Coins {
+        src: PrngSource,
+        deadline: u32,
+        heads: u32,
+    }
+
+    impl BatchProtocol for Coins {
+        type Message = bool;
+        type Output = u32;
+
+        fn start(&mut self, _ctx: &NodeContext, out: &mut Outlet<'_, bool>) {
+            out.broadcast(self.src.next_bit());
+        }
+
+        fn round(
+            &mut self,
+            _ctx: &NodeContext,
+            round: u32,
+            inbox: &Inbox<'_, bool>,
+            out: &mut Outlet<'_, bool>,
+        ) -> Control<u32> {
+            self.heads += inbox.iter().filter(|(_, &heads)| heads).count() as u32;
+            if round >= self.deadline {
+                return Control::Halt(self.heads);
+            }
+            out.broadcast(self.src.next_bit());
+            Control::Continue
+        }
+
+        fn random_bits(&self) -> u64 {
+            self.src.bits_drawn()
+        }
+    }
+
     #[test]
     fn sequential_flood_matches_bfs() {
         let g = Graph::grid(5, 7);
         let ids = IdAssignment::sequential(g.node_count());
         let run = Executor::congest(&g, &ids)
-            .run(flood_protocols(&g, &[0], 30), 31)
+            .run(flood_protocols(&g, &[0], 30), 31, 1)
             .unwrap();
         let reference = bfs_distances(&g, 0);
         for v in g.nodes() {
@@ -1023,6 +924,21 @@ mod tests {
         }
         assert!(run.congest_clean());
         assert_eq!(run.budget_bits, Some(8 * g.log2_n() as u64));
+        // Every node halts at its deadline, one round inside the budget.
+        assert_eq!(run.meter.rounds, 30);
+
+        // Violations are counted per directed message: over a 16-bit budget
+        // every 32-bit message is one. LOCAL has no budget to violate.
+        let tight = Executor::congest_with_budget(&g, &ids, 16)
+            .run(flood_protocols(&g, &[0], 30), 31, 1)
+            .unwrap();
+        assert_eq!(tight.meter.messages, run.meter.messages);
+        assert_eq!(tight.meter.congest_violations, tight.meter.messages);
+        let local = Executor::local(&g, &ids)
+            .run(flood_protocols(&g, &[0], 30), 31, 1)
+            .unwrap();
+        assert_eq!(local.meter.congest_violations, 0);
+        assert_eq!(local.budget_bits, None);
     }
 
     #[test]
@@ -1030,11 +946,11 @@ mod tests {
         let g = Graph::grid(9, 11);
         let ids = IdAssignment::sequential(g.node_count());
         let seq = Executor::congest(&g, &ids)
-            .run(flood_protocols(&g, &[3, 50], 40), 41)
+            .run(flood_protocols(&g, &[3, 50], 40), 41, 1)
             .unwrap();
-        for threads in [2, 3, 8, 64] {
+        for threads in [0, 2, 3, 8, 64] {
             let par = Executor::congest(&g, &ids)
-                .run_parallel(flood_protocols(&g, &[3, 50], 40), 41, threads)
+                .run(flood_protocols(&g, &[3, 50], 40), 41, threads)
                 .unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads={threads}");
             assert_eq!(par.meter, seq.meter, "threads={threads}");
@@ -1046,7 +962,7 @@ mod tests {
         for g in [Graph::empty(0), Graph::empty(5), Graph::path(2)] {
             let ids = IdAssignment::sequential(g.node_count());
             let run = Executor::local(&g, &ids)
-                .run_parallel(flood_protocols(&g, &[], 3), 4, 4)
+                .run(flood_protocols(&g, &[], 3), 4, 4)
                 .unwrap();
             assert_eq!(run.outputs.len(), g.node_count());
             assert!(run.outputs.iter().all(|d| d.is_none()));
@@ -1074,7 +990,7 @@ mod tests {
         let g = Graph::path(3);
         let ids = IdAssignment::sequential(3);
         let err = Executor::local(&g, &ids)
-            .run([Forever, Forever, Forever], 4)
+            .run([Forever, Forever, Forever], 4, 1)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1083,9 +999,10 @@ mod tests {
                 still_running: 3
             }
         );
+        assert!(err.to_string().contains('4'));
         // Zero-round budgets with live nodes are a limit error, not a panic.
         let err0 = Executor::local(&g, &ids)
-            .run([Forever, Forever, Forever], 0)
+            .run([Forever, Forever, Forever], 0, 1)
             .unwrap_err();
         assert!(matches!(err0, EngineError::RoundLimit { limit: 0, .. }));
     }
@@ -1120,7 +1037,7 @@ mod tests {
         let g = Graph::path(2);
         let ids = IdAssignment::sequential(2);
         let run = Executor::local(&g, &ids)
-            .run([WriteThenHalt, WriteThenHalt], 5)
+            .run([WriteThenHalt, WriteThenHalt], 5, 1)
             .unwrap();
         assert_eq!(run.outputs[1], 0);
         assert_eq!(run.meter.messages, 0);
@@ -1152,7 +1069,7 @@ mod tests {
         let g = Graph::path(3); // node 1 has ports 0 -> node 0, 1 -> node 2
         let ids = IdAssignment::sequential(3);
         let run = Executor::local(&g, &ids)
-            .run([Sender, Sender, Sender], 3)
+            .run([Sender, Sender, Sender], 3, 1)
             .unwrap();
         assert_eq!(run.outputs[0], vec![9]);
         assert_eq!(run.outputs[2], vec![1]);
@@ -1164,7 +1081,7 @@ mod tests {
         let g = Graph::path(3);
         let ids = IdAssignment::sequential(3);
         let err = Executor::local(&g, &ids)
-            .run(flood_protocols(&Graph::path(2), &[], 3), 5)
+            .run(flood_protocols(&Graph::path(2), &[], 3), 5, 1)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1179,15 +1096,40 @@ mod tests {
     fn pass_through_fault_plan_equals_fault_free_run() {
         let g = Graph::grid(6, 9);
         let ids = IdAssignment::sequential(g.node_count());
-        let plain = Executor::congest(&g, &ids)
-            .run(flood_protocols(&g, &[0, 17], 25), 26)
-            .unwrap();
-        let faulty = Executor::congest(&g, &ids)
-            .run_with_faults(flood_protocols(&g, &[0, 17], 25), 26, &FaultPlan::new(3))
-            .unwrap();
-        assert_eq!(faulty.meter, plain.meter);
-        assert_eq!(faulty.budget_bits, plain.budget_bits);
-        assert_eq!(faulty.into_outputs(), Some(plain.outputs));
+        let plan = FaultPlan::new(3);
+        for threads in [1, 2] {
+            let plain = Executor::congest(&g, &ids)
+                .run(flood_protocols(&g, &[0, 17], 25), 26, threads)
+                .unwrap();
+            let faulty = Executor::congest(&g, &ids)
+                .run_with_faults(flood_protocols(&g, &[0, 17], 25), 26, threads, &plan)
+                .unwrap();
+            assert_eq!(faulty.meter, plain.meter, "threads={threads}");
+            assert_eq!(faulty.budget_bits, plain.budget_bits);
+            assert_eq!(faulty.into_outputs(), Some(plain.outputs));
+        }
+
+        // Random bits are metered by both entry points at every thread count.
+        let coins = || {
+            (0..g.node_count()).map(|v| Coins {
+                src: PrngSource::seeded(v as u64),
+                deadline: 6,
+                heads: 0,
+            })
+        };
+        let reference = Executor::congest(&g, &ids).run(coins(), 7, 1).unwrap();
+        assert_eq!(reference.meter.random_bits, 6 * g.node_count() as u64);
+        for threads in [1, 2] {
+            let plain = Executor::congest(&g, &ids)
+                .run(coins(), 7, threads)
+                .unwrap();
+            let faulty = Executor::congest(&g, &ids)
+                .run_with_faults(coins(), 7, threads, &plan)
+                .unwrap();
+            assert_eq!(plain.meter, reference.meter, "threads={threads}");
+            assert_eq!(faulty.meter, reference.meter, "threads={threads}");
+            assert_eq!(faulty.into_outputs().as_ref(), Some(&reference.outputs));
+        }
     }
 
     #[test]
@@ -1198,7 +1140,7 @@ mod tests {
         let ids = IdAssignment::sequential(5);
         let plan = FaultPlan::new(0).with_crash_at(2, 1);
         let run = Executor::local(&g, &ids)
-            .run_with_faults(flood_protocols(&g, &[0], 20), 21, &plan)
+            .run_with_faults(flood_protocols(&g, &[0], 20), 21, 1, &plan)
             .unwrap();
         assert_eq!(run.crashed_count(), 1);
         assert!(run.outcomes[2].is_crashed());
@@ -1214,7 +1156,7 @@ mod tests {
         let ids = IdAssignment::sequential(3);
         let plan = FaultPlan::new(0).with_crash_at(0, 0);
         let run = Executor::local(&g, &ids)
-            .run_with_faults(flood_protocols(&g, &[0], 10), 11, &plan)
+            .run_with_faults(flood_protocols(&g, &[0], 10), 11, 1, &plan)
             .unwrap();
         // The source crashed before its start-round broadcast: nothing floods.
         assert_eq!(run.meter.messages, 0);
@@ -1229,7 +1171,7 @@ mod tests {
         // Drop everything: the flood from node 0 never reaches node 1.
         let plan = FaultPlan::new(9).with_drop(10_000);
         let run = Executor::local(&g, &ids)
-            .run_with_faults(flood_protocols(&g, &[0], 6), 7, &plan)
+            .run_with_faults(flood_protocols(&g, &[0], 6), 7, 1, &plan)
             .unwrap();
         assert_eq!(run.meter.messages, 0);
         assert!(run.meter.dropped > 0);
@@ -1244,7 +1186,7 @@ mod tests {
         // propagate, one round later.
         let plan = FaultPlan::new(4).with_delay(10_000, 1);
         let run = Executor::local(&g, &ids)
-            .run_with_faults(flood_protocols(&g, &[0], 8), 9, &plan)
+            .run_with_faults(flood_protocols(&g, &[0], 8), 9, 1, &plan)
             .unwrap();
         assert_eq!(run.outcomes[1], NodeOutcome::Halted(Some(1)));
         assert!(run.meter.delayed > 0);
@@ -1260,11 +1202,11 @@ mod tests {
             .with_delay(2_000, 3)
             .with_crashes(800, 3);
         let seq = Executor::congest(&g, &ids)
-            .run_with_faults(flood_protocols(&g, &[0, 31], 30), 31, &plan)
+            .run_with_faults(flood_protocols(&g, &[0, 31], 30), 31, 1, &plan)
             .unwrap();
         for threads in [2, 3, 8, 64] {
             let par = Executor::congest(&g, &ids)
-                .run_parallel_with_faults(flood_protocols(&g, &[0, 31], 30), 31, threads, &plan)
+                .run_with_faults(flood_protocols(&g, &[0, 31], 30), 31, threads, &plan)
                 .unwrap();
             assert_eq!(par.meter, seq.meter, "threads={threads}");
             assert_eq!(par.outcomes, seq.outcomes, "threads={threads}");

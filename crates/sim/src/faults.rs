@@ -284,7 +284,7 @@ impl<O> NodeOutcome<O> {
     }
 }
 
-/// Result of a faulty execution: like [`crate::engine::Run`], but each node
+/// Result of a faulty execution: like [`crate::executor::Run`], but each node
 /// ends in a [`NodeOutcome`] (crashed nodes have no output) and the meter
 /// carries the fault counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -313,7 +313,7 @@ impl<O> FaultRun<O> {
     }
 
     /// All outputs in node order, if **no** node crashed (the shape of a
-    /// fault-free [`crate::engine::Run`]); `None` as soon as one crashed.
+    /// fault-free [`crate::executor::Run`]); `None` as soon as one crashed.
     pub fn into_outputs(self) -> Option<Vec<O>> {
         self.outcomes
             .into_iter()

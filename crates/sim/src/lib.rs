@@ -5,20 +5,20 @@
 //! sends one message to each neighbor. In LOCAL messages are unbounded; in
 //! CONGEST they are `O(log n)` bits.
 //!
-//! - [`executor`]: the arena-backed batched round executor — every directed
-//!   edge owns a fixed slot in a flat message arena laid out by the graph's
-//!   CSR edge index; delivery is a single metering pass that flips the
-//!   read/write arenas (zero per-round allocation), and node steps can be
-//!   chunked across threads with bit-identical results.
-//! - [`engine`]: the message-passing engine (an adapter over the executor).
-//!   Algorithms are per-node state machines ([`node::Protocol`]); the engine
-//!   delivers inboxes round by round and meters rounds, messages, bits per
+//! - [`executor`]: the round runtime. Algorithms are per-node state machines
+//!   ([`executor::BatchProtocol`]). Every directed edge owns a fixed slot in
+//!   a flat message arena laid out by the graph's CSR edge index; delivery
+//!   is a single metering pass that flips the read/write arenas (zero
+//!   per-round allocation), and node steps can be chunked across threads
+//!   with bit-identical results. Runs meter rounds, messages, bits per
 //!   message (flagging CONGEST violations) and random bits drawn.
 //! - [`faults`]: seeded deterministic fault schedules ([`faults::FaultPlan`]:
 //!   message drop/duplication/reordering/bounded-delay and crash-stop node
 //!   failures) injected at the executor's delivery boundary by
 //!   [`executor::Executor::run_with_faults`].
-//! - [`node`]: the protocol trait and node-side context.
+//! - [`node`]: the node-side context a protocol sees.
+//! - [`protocols`]: reusable CONGEST primitives (BFS, leader election,
+//!   convergecast).
 //! - [`wire`]: message bit-size accounting ([`wire::WireSize`]).
 //! - [`cost`]: the [`cost::CostMeter`] accumulator and sequential
 //!   composition.
@@ -33,25 +33,26 @@
 //! use locality_graph::prelude::*;
 //! use locality_sim::prelude::*;
 //!
+//! #[derive(Clone)]
 //! struct Hello { heard: Vec<u64> }
-//! impl Protocol for Hello {
+//! impl BatchProtocol for Hello {
 //!     type Message = u64;
 //!     type Output = usize;
-//!     fn start(&mut self, ctx: &NodeContext) -> Outbox<u64> {
-//!         Outbox::broadcast(ctx.id)
+//!     fn start(&mut self, ctx: &NodeContext, out: &mut Outlet<'_, u64>) {
+//!         out.broadcast(ctx.id);
 //!     }
-//!     fn round(&mut self, _ctx: &NodeContext, _r: u32, inbox: &[(usize, u64)])
-//!         -> Step<u64, usize>
+//!     fn round(&mut self, _ctx: &NodeContext, _r: u32, inbox: &Inbox<'_, u64>,
+//!         _out: &mut Outlet<'_, u64>) -> Control<usize>
 //!     {
-//!         self.heard = inbox.iter().map(|&(_, id)| id).collect();
-//!         Step::Halt(self.heard.len())
+//!         self.heard = inbox.iter().map(|(_, &id)| id).collect();
+//!         Control::Halt(self.heard.len())
 //!     }
 //! }
 //!
 //! let g = Graph::cycle(5);
 //! let ids = IdAssignment::sequential(5);
-//! let mut engine = Engine::congest(&g, &ids);
-//! let run = engine.run((0..5).map(|_| Hello { heard: vec![] }), 10).unwrap();
+//! let mut exec = Executor::congest(&g, &ids);
+//! let run = exec.run((0..5).map(|_| Hello { heard: vec![] }), 10, 1).unwrap();
 //! assert!(run.outputs.iter().all(|&d| d == 2));
 //! assert_eq!(run.meter.rounds, 1);
 //! ```
@@ -63,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod engine;
 pub mod executor;
 pub mod faults;
 pub mod node;
@@ -71,20 +71,29 @@ pub mod protocols;
 pub mod slocal;
 pub mod wire;
 
+/// The round engine's contract as a protocol sees it, checked end to end
+/// through [`Executor::run`] on small hand-written protocols: flooding
+/// against BFS, round and message metering, CONGEST violations, the
+/// directed-over-broadcast rule and the run errors.
+#[cfg(test)]
+mod engine {
+    mod tests;
+}
+
 pub use cost::CostMeter;
-pub use engine::{Engine, EngineError, Mode, Run};
-pub use executor::{BatchProtocol, Control, Executor, Inbox, Outlet};
+pub use executor::{BatchProtocol, Control, EngineError, Executor, Inbox, Mode, Outlet, Run};
 pub use faults::{FaultPlan, FaultRun, NodeOutcome};
-pub use node::{NodeContext, Outbox, Protocol, Step};
+pub use node::NodeContext;
 pub use wire::WireSize;
 
 /// The most used items.
 pub mod prelude {
     pub use crate::cost::CostMeter;
-    pub use crate::engine::{Engine, EngineError, Mode, Run};
-    pub use crate::executor::{BatchProtocol, Control, Executor, Inbox, Outlet};
+    pub use crate::executor::{
+        BatchProtocol, Control, EngineError, Executor, Inbox, Mode, Outlet, Run,
+    };
     pub use crate::faults::{Delivery, FaultPlan, FaultRun, MessageFate, NodeOutcome};
-    pub use crate::node::{NodeContext, Outbox, Protocol, Step};
+    pub use crate::node::NodeContext;
     pub use crate::slocal::{BallView, SlocalRunner, SlocalScratch, SlocalStats};
     pub use crate::wire::WireSize;
 }

@@ -1,11 +1,11 @@
-//! Per-node protocol interface.
+//! The node-side context a protocol sees.
 
 /// Immutable facts a node knows at the start of a protocol — exactly the
 /// model's initial knowledge, nothing more.
 /// The paper's non-uniform algorithms also receive `n` (or an upper bound).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeContext {
-    /// The node's index in the graph (engine-internal addressing).
+    /// The node's index in the graph (executor-internal addressing).
     pub node: usize,
     /// The node's unique `Θ(log n)`-bit identifier.
     pub id: u64,
@@ -13,101 +13,4 @@ pub struct NodeContext {
     pub degree: usize,
     /// The number of nodes `n` given as input (non-uniform algorithms).
     pub n: usize,
-}
-
-/// Messages a node emits in one round.
-///
-/// Ports are neighbor *indices* `0..degree` (a node does not a priori know
-/// its neighbors' ids — it learns them by communication).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outbox<M> {
-    pub(crate) broadcast: Option<M>,
-    pub(crate) directed: Vec<(usize, M)>,
-}
-
-impl<M> Outbox<M> {
-    /// Send nothing this round.
-    pub fn silent() -> Self {
-        Self {
-            broadcast: None,
-            directed: Vec::new(),
-        }
-    }
-
-    /// Send `msg` to every neighbor.
-    pub fn broadcast(msg: M) -> Self {
-        Self {
-            broadcast: Some(msg),
-            directed: Vec::new(),
-        }
-    }
-
-    /// Send distinct messages to selected ports.
-    pub fn directed(messages: Vec<(usize, M)>) -> Self {
-        Self {
-            broadcast: None,
-            directed: messages,
-        }
-    }
-
-    /// Add a directed message (on top of any broadcast, which it overrides
-    /// for that port).
-    pub fn send(mut self, port: usize, msg: M) -> Self {
-        self.directed.push((port, msg));
-        self
-    }
-
-    /// Whether nothing is sent.
-    pub fn is_silent(&self) -> bool {
-        self.broadcast.is_none() && self.directed.is_empty()
-    }
-}
-
-/// A node's decision after a round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step<M, O> {
-    /// Keep running; send these messages.
-    Continue(Outbox<M>),
-    /// Terminate with this output (the node stays silent afterwards).
-    Halt(O),
-}
-
-/// A synchronous message-passing protocol, one instance per node.
-///
-/// The engine calls [`Protocol::start`] before round 1 to collect the first
-/// outboxes, then repeatedly delivers inboxes via [`Protocol::round`]. Inbox
-/// entries are `(port, message)` pairs where `port` is the *receiver's*
-/// neighbor index for the sender. A node halts by returning [`Step::Halt`];
-/// the run ends when every node has halted.
-pub trait Protocol {
-    /// Message type (must report its wire size for CONGEST accounting).
-    type Message: Clone + crate::wire::WireSize;
-    /// Per-node output.
-    type Output;
-
-    /// Produce the messages for round 1.
-    fn start(&mut self, ctx: &NodeContext) -> Outbox<Self::Message>;
-
-    /// Receive round `round`'s inbox; decide to continue or halt.
-    fn round(
-        &mut self,
-        ctx: &NodeContext,
-        round: u32,
-        inbox: &[(usize, Self::Message)],
-    ) -> Step<Self::Message, Self::Output>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn outbox_constructors() {
-        let o: Outbox<u8> = Outbox::silent();
-        assert!(o.is_silent());
-        let o = Outbox::broadcast(1u8);
-        assert!(!o.is_silent());
-        let o = Outbox::directed(vec![(0, 2u8)]).send(1, 3);
-        assert_eq!(o.directed.len(), 2);
-    }
 }

@@ -1,12 +1,12 @@
-//! Reusable CONGEST protocols on the engine: the primitives the paper's
+//! Reusable CONGEST protocols on the executor: the primitives the paper's
 //! constructions compose (BFS layering, leader election by id flooding,
 //! convergecast aggregation).
 //!
 //! Each protocol is a real per-node state machine; tests cross-validate
 //! against the centralized reference implementations in `locality-graph`.
 
-use crate::engine::{Engine, EngineError, Run};
-use crate::node::{NodeContext, Outbox, Protocol, Step};
+use crate::executor::{BatchProtocol, Control, EngineError, Executor, Inbox, Outlet, Run};
+use crate::node::NodeContext;
 use crate::wire::Compact;
 use locality_graph::ids::IdAssignment;
 use locality_graph::Graph;
@@ -17,7 +17,7 @@ pub type BfsOutput = (Option<u32>, Option<usize>);
 
 /// BFS from a set of sources: each node halts with `(distance, parent port)`
 /// to its nearest source (`None` if unreachable within the deadline).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BfsProtocol {
     is_source: bool,
     deadline: u32,
@@ -47,22 +47,19 @@ impl BfsProtocol {
         sources: &[usize],
         deadline: u32,
     ) -> Result<Run<BfsOutput>, EngineError> {
-        let mut engine = Engine::congest(g, ids);
         let nodes = (0..g.node_count()).map(|v| BfsProtocol::new(sources.contains(&v), deadline));
-        engine.run(nodes, deadline + 1)
+        Executor::congest(g, ids).run(nodes, deadline + 1, 1)
     }
 }
 
-impl Protocol for BfsProtocol {
+impl BatchProtocol for BfsProtocol {
     type Message = u32;
     type Output = BfsOutput;
 
-    fn start(&mut self, _ctx: &NodeContext) -> Outbox<u32> {
+    fn start(&mut self, _ctx: &NodeContext, out: &mut Outlet<'_, u32>) {
         if self.is_source {
             self.dist = Some(0);
-            Outbox::broadcast(0)
-        } else {
-            Outbox::silent()
+            out.broadcast(0);
         }
     }
 
@@ -70,19 +67,20 @@ impl Protocol for BfsProtocol {
         &mut self,
         _ctx: &NodeContext,
         round: u32,
-        inbox: &[(usize, u32)],
-    ) -> Step<u32, Self::Output> {
+        inbox: &Inbox<'_, u32>,
+        out: &mut Outlet<'_, u32>,
+    ) -> Control<BfsOutput> {
         if round >= self.deadline {
-            return Step::Halt((self.dist, self.parent_port));
+            return Control::Halt((self.dist, self.parent_port));
         }
         if self.dist.is_none() {
-            if let Some(&(port, d)) = inbox.iter().min_by_key(|&&(p, d)| (d, p)) {
+            if let Some((port, &d)) = inbox.iter().min_by_key(|&(p, &d)| (d, p)) {
                 self.dist = Some(d + 1);
                 self.parent_port = Some(port);
-                return Step::Continue(Outbox::broadcast(d + 1));
+                out.broadcast(d + 1);
             }
         }
-        Step::Continue(Outbox::silent())
+        Control::Continue
     }
 }
 
@@ -90,7 +88,7 @@ impl Protocol for BfsProtocol {
 /// smallest id in its connected component. Messages are width-aware
 /// [`Compact`] ids, so the protocol is CONGEST-clean for any id space of
 /// `O(log n)` bits.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LeaderElection {
     best: u64,
     id_width: u16,
@@ -105,14 +103,13 @@ impl LeaderElection {
     /// Propagates [`EngineError`].
     pub fn run(g: &Graph, ids: &IdAssignment, deadline: u32) -> Result<Run<u64>, EngineError> {
         let id_width = ids.bit_len().max(1) as u16;
-        let mut engine = Engine::congest(g, ids);
         let nodes = (0..g.node_count()).map(|_| LeaderElection {
             best: u64::MAX,
             id_width,
             deadline,
             changed: false,
         });
-        engine.run(nodes, deadline + 1)
+        Executor::congest(g, ids).run(nodes, deadline + 1, 1)
     }
 
     fn message(&self) -> Compact {
@@ -120,36 +117,36 @@ impl LeaderElection {
     }
 }
 
-impl Protocol for LeaderElection {
+impl BatchProtocol for LeaderElection {
     type Message = Compact;
     type Output = u64;
 
-    fn start(&mut self, ctx: &NodeContext) -> Outbox<Compact> {
+    fn start(&mut self, ctx: &NodeContext, out: &mut Outlet<'_, Compact>) {
         self.best = ctx.id;
-        Outbox::broadcast(self.message())
+        out.broadcast(self.message());
     }
 
     fn round(
         &mut self,
         _ctx: &NodeContext,
         round: u32,
-        inbox: &[(usize, Compact)],
-    ) -> Step<Compact, u64> {
+        inbox: &Inbox<'_, Compact>,
+        out: &mut Outlet<'_, Compact>,
+    ) -> Control<u64> {
         self.changed = false;
-        for &(_, id) in inbox {
+        for (_, id) in inbox.iter() {
             if id.value() < self.best {
                 self.best = id.value();
                 self.changed = true;
             }
         }
         if round >= self.deadline {
-            return Step::Halt(self.best);
+            return Control::Halt(self.best);
         }
         if self.changed {
-            Step::Continue(Outbox::broadcast(self.message()))
-        } else {
-            Step::Continue(Outbox::silent())
+            out.broadcast(self.message());
         }
+        Control::Continue
     }
 }
 
@@ -157,7 +154,7 @@ impl Protocol for LeaderElection {
 /// halts with the sum over its component; everyone else halts with the
 /// partial sum of its subtree. Requires the `(dist, parent)` output of
 /// [`BfsProtocol`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ConvergecastSum {
     value: u64,
     parent_port: Option<usize>,
@@ -190,7 +187,6 @@ impl ConvergecastSum {
                 expected[parent] += 1;
             }
         }
-        let mut engine = Engine::congest(g, ids);
         let nodes = (0..g.node_count()).map(|v| ConvergecastSum {
             value: values[v],
             parent_port: parents[v],
@@ -200,46 +196,73 @@ impl ConvergecastSum {
             deadline,
             sent: false,
         });
-        engine.run(nodes, deadline + 1)
+        Executor::congest(g, ids).run(nodes, deadline + 1, 1)
     }
 }
 
-impl Protocol for ConvergecastSum {
+impl BatchProtocol for ConvergecastSum {
     type Message = u64;
     type Output = u64;
 
-    fn start(&mut self, _ctx: &NodeContext) -> Outbox<u64> {
+    fn start(&mut self, _ctx: &NodeContext, out: &mut Outlet<'_, u64>) {
         if self.expected_children == 0 {
             if let Some(p) = self.parent_port {
                 self.sent = true;
-                return Outbox::directed(vec![(p, self.value)]);
+                out.send(p, self.value);
             }
         }
-        Outbox::silent()
     }
 
-    fn round(&mut self, _ctx: &NodeContext, round: u32, inbox: &[(usize, u64)]) -> Step<u64, u64> {
-        for &(_, v) in inbox {
+    fn round(
+        &mut self,
+        _ctx: &NodeContext,
+        round: u32,
+        inbox: &Inbox<'_, u64>,
+        out: &mut Outlet<'_, u64>,
+    ) -> Control<u64> {
+        for (_, &v) in inbox.iter() {
             self.acc += v;
             self.received += 1;
         }
         if self.received >= self.expected_children && !self.sent {
             self.sent = true;
             if let Some(p) = self.parent_port {
-                return Step::Continue(Outbox::directed(vec![(p, self.acc)]));
+                out.send(p, self.acc);
+                return Control::Continue;
             }
         }
         if round >= self.deadline {
-            return Step::Halt(self.acc);
+            return Control::Halt(self.acc);
         }
-        Step::Continue(Outbox::silent())
+        Control::Continue
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostMeter;
     use locality_graph::prelude::*;
+
+    /// A fault-free meter without random bits. The pinned values in these
+    /// tests were recorded before the protocols moved onto
+    /// [`BatchProtocol`]; the port must not change a single count.
+    fn meter(
+        rounds: u64,
+        messages: u64,
+        bits_sent: u64,
+        max_message_bits: u64,
+        congest_violations: u64,
+    ) -> CostMeter {
+        CostMeter {
+            rounds,
+            messages,
+            bits_sent,
+            max_message_bits,
+            congest_violations,
+            ..CostMeter::default()
+        }
+    }
 
     #[test]
     fn bfs_protocol_matches_reference() {
@@ -258,6 +281,7 @@ mod tests {
             }
         }
         assert!(run.meter.congest_clean());
+        assert_eq!(run.meter, meter(40, 98, 3136, 32, 0));
     }
 
     #[test]
@@ -266,6 +290,8 @@ mod tests {
         let ids = IdAssignment::sequential(6);
         let run = BfsProtocol::run(&g, &ids, &[0], 10).unwrap();
         assert_eq!(run.outputs[5], (None, None));
+        // 32-bit distances exceed the 24-bit budget of a 6-node graph.
+        assert_eq!(run.meter, meter(10, 4, 128, 32, 4));
     }
 
     #[test]
@@ -279,6 +305,7 @@ mod tests {
         for v in 5..9 {
             assert_eq!(run.outputs[v], 1, "component 2 node {v}");
         }
+        assert_eq!(run.meter, meter(12, 36, 144, 4, 0));
     }
 
     #[test]
@@ -295,6 +322,8 @@ mod tests {
         for (leaf, &val) in values.iter().enumerate().skip(3) {
             assert_eq!(run.outputs[leaf], val);
         }
+        assert_eq!(bfs.meter, meter(10, 12, 384, 32, 12));
+        assert_eq!(run.meter, meter(10, 6, 384, 64, 6));
     }
 
     #[test]
@@ -306,5 +335,7 @@ mod tests {
         let run = ConvergecastSum::run(&g, &ids, &parents, &[1; 5], 12).unwrap();
         assert_eq!(run.outputs[0], 5);
         assert_eq!(run.outputs[4], 1);
+        assert_eq!(bfs.meter, meter(10, 8, 256, 32, 8));
+        assert_eq!(run.meter, meter(12, 4, 256, 64, 4));
     }
 }

@@ -1,6 +1,6 @@
 //! Message size accounting.
 //!
-//! CONGEST limits messages to `O(log n)` bits, so the engine needs every
+//! CONGEST limits messages to `O(log n)` bits, so the executor needs every
 //! message type to report its wire size. [`WireSize`] is a structural
 //! estimate (sum of the fields' widths) — honest enough to distinguish a
 //! `(id, distance)` pair from a gathered ball of the topology.

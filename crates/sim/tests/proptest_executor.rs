@@ -7,7 +7,8 @@
 //! sends (including overrides) and halts, and folds its entire message
 //! history (port and payload) into an order-sensitive checksum, so a single
 //! misrouted, duplicated, stale or dropped message changes some node's
-//! output.
+//! output. A second property checks a flooding protocol against the
+//! centralized BFS distances.
 
 use locality_graph::prelude::*;
 use locality_rand::prng::{Prng, SplitMix64};
@@ -120,11 +121,11 @@ proptest! {
         let protocols = |seed: u64| (0..n).map(move |v| Script::new(seed, v));
 
         let seq = make(local, &g, &ids)
-            .run(protocols(proto_seed), 16)
+            .run(protocols(proto_seed), 16, 1)
             .expect("scripts halt by round 13");
         for threads in [2usize, 3, 5, 16] {
             let par = make(local, &g, &ids)
-                .run_parallel(protocols(proto_seed), 16, threads)
+                .run(protocols(proto_seed), 16, threads)
                 .expect("scripts halt by round 13");
             prop_assert_eq!(&par.outputs, &seq.outputs, "threads={}", threads);
             prop_assert_eq!(par.meter, seq.meter, "threads={}", threads);
@@ -133,39 +134,17 @@ proptest! {
     }
 
     #[test]
-    fn legacy_engine_agrees_with_batched_flood(
+    fn batched_flood_matches_bfs(
         g in arb_gnp(),
         source_pick in any::<u64>(),
     ) {
-        // The legacy `Protocol` adapter and a native `BatchProtocol` version
-        // of BFS flooding must meter identically (same engine underneath).
+        // Flooding from one source halts every node with its BFS distance.
         let n = g.node_count();
         let source = (source_pick % n as u64) as usize;
         let ids = IdAssignment::sequential(n);
         let deadline = 2 * n as u32 + 2;
 
-        struct LegacyFlood { is_source: bool, dist: Option<u32>, deadline: u32 }
-        impl Protocol for LegacyFlood {
-            type Message = u32;
-            type Output = Option<u32>;
-            fn start(&mut self, _ctx: &NodeContext) -> Outbox<u32> {
-                if self.is_source { self.dist = Some(0); Outbox::broadcast(0) } else { Outbox::silent() }
-            }
-            fn round(&mut self, _ctx: &NodeContext, round: u32, inbox: &[(usize, u32)])
-                -> Step<u32, Option<u32>>
-            {
-                if round >= self.deadline { return Step::Halt(self.dist); }
-                if self.dist.is_none() {
-                    if let Some(d) = inbox.iter().map(|&(_, d)| d + 1).min() {
-                        self.dist = Some(d);
-                        return Step::Continue(Outbox::broadcast(d));
-                    }
-                }
-                Step::Continue(Outbox::silent())
-            }
-        }
-
-        #[derive(Clone)]
+        #[derive(Debug, Clone)]
         struct BatchedFlood { is_source: bool, dist: Option<u32>, deadline: u32 }
         impl BatchProtocol for BatchedFlood {
             type Message = u32;
@@ -187,24 +166,14 @@ proptest! {
             }
         }
 
-        let legacy = Engine::congest(&g, &ids)
-            .run(
-                (0..n).map(|v| LegacyFlood { is_source: v == source, dist: None, deadline }),
-                deadline + 1,
-            )
-            .expect("completes");
         let batched = Executor::congest(&g, &ids)
             .run(
                 (0..n).map(|v| BatchedFlood { is_source: v == source, dist: None, deadline }),
                 deadline + 1,
+                1,
             )
             .expect("completes");
-        prop_assert_eq!(&legacy.outputs, &batched.outputs);
-        prop_assert_eq!(legacy.meter, batched.meter);
-
         let reference = bfs_distances(&g, source);
-        for v in g.nodes() {
-            prop_assert_eq!(legacy.outputs[v], reference[v], "node {}", v);
-        }
+        prop_assert_eq!(&batched.outputs, &reference);
     }
 }

@@ -125,10 +125,10 @@ proptest! {
         prop_assert!(plan.is_pass_through());
 
         let plain = Executor::congest(&g, &ids)
-            .run(protocols(proto_seed), 16)
+            .run(protocols(proto_seed), 16, 1)
             .expect("scripts halt by round 13");
         let faulty = Executor::congest(&g, &ids)
-            .run_with_faults(protocols(proto_seed), 16, &plan)
+            .run_with_faults(protocols(proto_seed), 16, 1, &plan)
             .expect("scripts halt by round 13");
         prop_assert_eq!(faulty.meter, plain.meter);
         prop_assert_eq!(faulty.budget_bits, plain.budget_bits);
@@ -148,17 +148,17 @@ proptest! {
         let protocols = |seed: u64| (0..n).map(move |v| Script::new(seed, v));
 
         let seq = Executor::congest(&g, &ids)
-            .run_with_faults(protocols(proto_seed), 16, &plan)
+            .run_with_faults(protocols(proto_seed), 16, 1, &plan)
             .expect("scripts halt by round 13");
         let again = Executor::congest(&g, &ids)
-            .run_with_faults(protocols(proto_seed), 16, &plan)
+            .run_with_faults(protocols(proto_seed), 16, 1, &plan)
             .expect("scripts halt by round 13");
         prop_assert_eq!(&again.outcomes, &seq.outcomes);
         prop_assert_eq!(again.meter, seq.meter);
 
         for threads in [2usize, 3, 5, 16] {
             let par = Executor::congest(&g, &ids)
-                .run_parallel_with_faults(protocols(proto_seed), 16, threads, &plan)
+                .run_with_faults(protocols(proto_seed), 16, threads, &plan)
                 .expect("scripts halt by round 13");
             prop_assert_eq!(&par.outcomes, &seq.outcomes, "threads={}", threads);
             prop_assert_eq!(par.meter, seq.meter, "threads={}", threads);
