@@ -14,17 +14,25 @@
 //!   the retained reference path (materialized `reference_power_graph` +
 //!   full-`n`-BFS validation). Grids rather than `G(n, p)` because on an
 //!   expander the exact per-color weak-diameter bill is a graph-diameter
-//!   computation both paths pay equally — see `p1_pipeline_rows`.
+//!   computation both paths pay equally — see `p1_pipeline_rows`;
+//! - the exact per-cluster strong diameters a consumer plan needs, on an
+//!   MPX (β = 0.4) decomposition of a connected `G(2000, 4/n)`, equal
+//!   `reference_induced_diameter` and are **≥ 4× faster** than it
+//!   (eccentricity bounding runs a small fraction of one BFS per member;
+//!   a full per-member scan over the scratch is no faster than the
+//!   reference's compact subgraph).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use locality_core::coloring;
 use locality_core::decomposition::ball_carving_decomposition;
+use locality_core::decomposition::mpx::mpx_partition;
 use locality_core::decomposition::types::Decomposition;
 use locality_core::mis;
 use locality_core::slocal::{
     reference_run_slocal_via_decomposition, run_slocal_via_decomposition,
     run_slocal_via_decomposition_threads,
 };
+use locality_graph::metrics::{induced_diameter_with, reference_induced_diameter, DiameterScratch};
 use locality_graph::power::power_graph;
 use locality_graph::Graph;
 use locality_rand::prng::SplitMix64;
@@ -130,10 +138,56 @@ fn assert_reduction_speedup() {
     );
 }
 
+/// The consumer plan's dominant cost, exact per-cluster strong diameters,
+/// on the giant clusters a randomized producer builds: eccentricity
+/// bounding must match the retained all-pairs reference cluster by cluster
+/// and beat it ≥ 4×.
+fn assert_plan_speedup() {
+    let g = Graph::gnp_connected(2000, 4.0 / 2000.0, &mut SplitMix64::new(141));
+    let clustering = mpx_partition(&g, 0.4, &mut SplitMix64::new(142)).clustering;
+    let clusters = clustering.cluster_count();
+    let t0 = Instant::now();
+    let reference: Vec<Option<u32>> = (0..clusters)
+        .map(|c| reference_induced_diameter(&g, clustering.members(c)))
+        .collect();
+    let ref_time = t0.elapsed();
+    // Best of three, one scratch per run as a plan build has.
+    let mut fast_time = std::time::Duration::MAX;
+    let mut fast = Vec::new();
+    for _ in 0..3 {
+        let t1 = Instant::now();
+        let mut scratch = DiameterScratch::new(g.node_count());
+        fast = (0..clusters)
+            .map(|c| induced_diameter_with(&g, clustering.members(c), &mut scratch))
+            .collect();
+        fast_time = fast_time.min(t1.elapsed());
+    }
+    assert_eq!(
+        fast, reference,
+        "plan diameters diverged from the reference"
+    );
+    let largest = (0..clusters)
+        .map(|c| clustering.members(c).len())
+        .max()
+        .unwrap_or(0);
+    let speedup = ref_time.as_secs_f64() / fast_time.as_secs_f64().max(1e-9);
+    println!(
+        "MPX plan diameters on G(2000, 4/n), {clusters} cluster(s), largest {largest} nodes: \
+         reference {:.1} ms, bounded {:.3} ms -> {speedup:.1}x",
+        ref_time.as_secs_f64() * 1e3,
+        fast_time.as_secs_f64() * 1e3,
+    );
+    assert!(
+        speedup >= 4.0,
+        "plan diameters are only {speedup:.1}x faster than the reference"
+    );
+}
+
 fn bench_pipeline(c: &mut Criterion) {
     assert_slocal_zero_alloc();
     assert_consumer_equivalence();
     assert_reduction_speedup();
+    assert_plan_speedup();
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);

@@ -939,11 +939,13 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
     // The serving layer's Auto randomized tier rate (serve::session).
     const BETA: f64 = 0.4;
     const EN_MAX_N: usize = 20_000;
-    // Clusters up to this size get the exact per-member diameter scan;
-    // larger ones (MPX swallows most of the giant component once its shift
-    // radius passes the graph's own ~log n diameter) get certified
-    // double-sweep bounds — the exact scan on a 5×10⁵-node cluster is
-    // ~10¹¹ node visits.
+    // Clusters up to this size get the exact diameter; larger ones (MPX
+    // swallows most of the giant component once its shift radius passes the
+    // graph's own ~log n diameter) get certified double-sweep bounds.
+    // Eccentricity bounding makes the exact diameter cheap on most clusters,
+    // but its worst case is still one BFS per member (~10¹¹ node visits on
+    // a 5×10⁵-node cluster): on G(2.6×10⁵, 4/n), seeded as below, the
+    // largest MPX cluster (224 340 nodes) still takes 134 s exactly.
     const EXACT_DIAMETER_LIMIT: usize = 10_000;
 
     // Caps shrink with n (the ball arena is `n · |B(cap−1)|` and `G(n,4/n)`
@@ -1054,7 +1056,7 @@ pub fn print_producer_rows(rows: &[ProducerRow]) {
     println!("every produced decomposition is validated; mpx runs at the serving layer's");
     println!("beta = 0.4; elkin-neiman is a simulated CONGEST algorithm and is skipped");
     println!("at large n; a diam cell `a..b` is a certified bound pair (clusters too");
-    println!("large for the exact per-member scan)\n");
+    println!("large for the exact diameter)\n");
     let mut t = Table::new(&[
         "n",
         "producer",

@@ -46,8 +46,9 @@ pub(crate) struct ConsumerPlan {
 
 /// Validate `d` against `g` exactly as [`Decomposition::validate`] does,
 /// but keep the per-cluster induced diameters (the consumers charge
-/// `O(max diameter)` rounds per color, so recomputing them would double the
-/// dominant cost) and return the color-grouped cluster lists.
+/// `O(max diameter)` rounds per color; the exact diameters are still the
+/// plan's largest cost on giant clusters, so they are computed once) and
+/// return the color-grouped cluster lists.
 pub(crate) fn plan_consumer(g: &Graph, d: &Decomposition) -> Result<ConsumerPlan, DecompError> {
     plan_consumer_with(g, d, &mut DiameterScratch::new(g.node_count()))
 }
@@ -253,6 +254,72 @@ mod tests {
             plan_consumer(&g, &d2).unwrap_err(),
             d2.validate(&g).unwrap_err()
         );
+    }
+
+    /// FNV-1a over a u64 stream (the `fp` of `tests/proptest_consumers.rs`).
+    fn fp(stream: impl Iterator<Item = u64>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in stream {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Per-cluster diameters pinned from the per-member BFS scan the plan
+    /// used before eccentricity bounding: `(name, clusters, fingerprint of
+    /// plan.diam, max, sum)`. MPX and Elkin–Neiman each build a cluster of
+    /// over a thousand nodes, where the bound loop prunes most sources; the
+    /// carvings add many small clusters.
+    #[test]
+    fn golden_plan_diameters_are_stable() {
+        use crate::decomposition::elkin_neiman::{elkin_neiman, ElkinNeimanConfig};
+        use crate::decomposition::mpx::mpx_partition;
+        use locality_rand::source::PrngSource;
+        const GOLDEN: [(&str, usize, u64, u32, u64); 4] = [
+            ("mpx_gnp2000", 1, 9_341_425_988_105_748_652, 9, 9),
+            ("en_gnp2048", 61, 4_393_445_762_564_583_496, 12, 19),
+            ("carve_gnp2000", 355, 15_406_806_363_888_468_680, 11, 103),
+            ("carve_grid64", 2048, 12_805_685_683_014_827_301, 4, 1056),
+        ];
+        let mpx_g = Graph::gnp_connected(2000, 4.0 / 2000.0, &mut SplitMix64::new(141));
+        let mpx_d = mpx_partition(&mpx_g, 0.4, &mut SplitMix64::new(142)).decomposition;
+        let en_g = Graph::gnp(2048, 4.0 / 2048.0, &mut SplitMix64::new(143));
+        let en_d = elkin_neiman(
+            &en_g,
+            &ElkinNeimanConfig::for_graph(&en_g),
+            &mut PrngSource::seeded(144),
+        )
+        .decomposition
+        .expect("Elkin–Neiman clusters every node");
+        let carve_g = Graph::gnp(2000, 4.0 / 2000.0, &mut SplitMix64::new(145));
+        let carve_grid = Graph::grid(64, 64);
+        let carve = |g: &Graph| {
+            let order: Vec<usize> = g.nodes().collect();
+            ball_carving_decomposition(g, &order).decomposition
+        };
+        let cases = [
+            ("mpx_gnp2000", &mpx_g, mpx_d),
+            ("en_gnp2048", &en_g, en_d),
+            ("carve_gnp2000", &carve_g, carve(&carve_g)),
+            ("carve_grid64", &carve_grid, carve(&carve_grid)),
+        ];
+        let got: Vec<(&str, usize, u64, u32, u64)> = cases
+            .iter()
+            .map(|(name, g, d)| {
+                let plan = plan_consumer(g, d).expect("valid");
+                (
+                    *name,
+                    plan.diam.len(),
+                    fp(plan.diam.iter().map(|&x| u64::from(x))),
+                    plan.diam.iter().copied().max().unwrap_or(0),
+                    plan.diam.iter().map(|&x| u64::from(x)).sum(),
+                )
+            })
+            .collect();
+        assert_eq!(got, GOLDEN);
     }
 
     #[test]

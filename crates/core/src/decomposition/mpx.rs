@@ -79,7 +79,6 @@ pub fn mpx_partition(g: &Graph, beta: f64, prng: &mut impl Prng) -> MpxOutcome {
         }
     }
 
-    let mut best_key = vec![f64::INFINITY; n];
     let mut center = vec![usize::MAX; n];
     let mut heap = BinaryHeap::new();
     for (v, &shift) in shifts.iter().enumerate() {
@@ -89,8 +88,6 @@ pub fn mpx_partition(g: &Graph, beta: f64, prng: &mut impl Prng) -> MpxOutcome {
         if center[v] != usize::MAX {
             continue;
         }
-        let _ = best_key[v];
-        best_key[v] = key;
         center[v] = c;
         for &w in g.neighbors(v) {
             if center[w] == usize::MAX {

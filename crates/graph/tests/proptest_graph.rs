@@ -1,5 +1,6 @@
 //! Property tests for the graph substrate.
 
+use locality_graph::metrics::{induced_diameter_with, reference_induced_diameter};
 use locality_graph::prelude::*;
 use proptest::prelude::*;
 
@@ -95,6 +96,13 @@ proptest! {
                 prop_assert!(sub.graph().has_edge(i, j));
             }
         }
+        // The scratch strong diameter agrees with the subgraph's all-pairs
+        // one, `None` included when the kept set is disconnected.
+        let mut scratch = DiameterScratch::new(g.node_count());
+        prop_assert_eq!(
+            induced_diameter_with(&g, &nodes, &mut scratch),
+            reference_induced_diameter(&g, &nodes)
+        );
     }
 
     #[test]
