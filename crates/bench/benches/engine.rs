@@ -8,9 +8,17 @@
 //! and under a pass-through one. A regression that sneaks a per-round `Vec`
 //! back into the hot path (or into the fault branch of the shared loop)
 //! fails this bench before it shows up in any timing.
+//!
+//! It also guards the Elkin–Neiman gossip: its messages hold their top-two
+//! entries inline, so a whole decomposition allocates fewer than 1% as many
+//! times as it sends messages (a heap-backed message would allocate once
+//! per message sent).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use locality_core::decomposition::{elkin_neiman, ElkinNeimanConfig};
 use locality_graph::prelude::*;
+use locality_rand::prng::SplitMix64;
+use locality_rand::source::PrngSource;
 use locality_sim::prelude::*;
 
 #[path = "support/alloc_counter.rs"]
@@ -107,8 +115,37 @@ fn assert_round_loop_allocation_free() {
     println!("zero-alloc invariant holds: {short} setup allocations regardless of round count");
 }
 
+/// The gossip check: one Elkin–Neiman build allocates per phase (protocol
+/// vector, executor arenas), never per message.
+fn assert_elkin_neiman_gossip_allocation_free() {
+    let graphs = [
+        ("grid 40x40", Graph::grid(40, 40)),
+        (
+            "G(2048, 4/n)",
+            Graph::gnp_connected(2048, 4.0 / 2048.0, &mut SplitMix64::new(7)),
+        ),
+    ];
+    for (name, g) in graphs {
+        let cfg = ElkinNeimanConfig::for_graph(&g);
+        let mut messages = 0;
+        let allocations = allocations_during(|| {
+            let out = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(3));
+            messages = out.meter.messages;
+        });
+        assert!(
+            allocations * 100 < messages,
+            "elkin-neiman on {name} allocated {allocations} times for {messages} messages \
+             (the bound is 1% of the messages)"
+        );
+        println!(
+            "elkin-neiman gossip on {name}: {allocations} allocations for {messages} messages"
+        );
+    }
+}
+
 fn bench_engine(c: &mut Criterion) {
     assert_round_loop_allocation_free();
+    assert_elkin_neiman_gossip_allocation_free();
 
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);

@@ -67,39 +67,62 @@ impl ElkinNeimanConfig {
 /// A `(center id, value)` ranking entry.
 type Entry = (u64, i64);
 
+/// The best two entries for *distinct* centers, ordered by (value desc, id
+/// asc), held inline: a broadcast copies it into each port's slot without
+/// touching the heap, so a phase allocates nothing per message.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TopTwo {
+    entries: [Entry; 2],
+    len: u8,
+}
+
+impl TopTwo {
+    fn as_slice(&self) -> &[Entry] {
+        &self.entries[..usize::from(self.len)]
+    }
+}
+
+/// Keep the best two entries for *distinct* centers, ordered by
+/// (value desc, id asc). Returns whether anything changed — and also `true`
+/// for a new non-negative center that ranks third and is dropped: that
+/// return triggers a rebroadcast, so it is part of the message count.
+fn merge_entry(top: &mut TopTwo, cand: Entry) -> bool {
+    if cand.1 < 0 {
+        return false;
+    }
+    let len = usize::from(top.len);
+    let mut all = [top.entries[0], top.entries[1], cand];
+    let count = match all[..len].iter_mut().find(|e| e.0 == cand.0) {
+        Some(existing) if existing.1 >= cand.1 => return false,
+        Some(existing) => {
+            existing.1 = cand.1;
+            len
+        }
+        None => {
+            all[len] = cand;
+            len + 1
+        }
+    };
+    // Centers are distinct, so (value desc, id asc) is a total order and the
+    // unstable sort is deterministic.
+    all[..count].sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    top.entries = [all[0], all[1]];
+    top.len = count.min(2) as u8;
+    true
+}
+
 /// Gossip message: current top-two entries, with compact wire accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EnMessage {
-    entries: Vec<Entry>,
+    top: TopTwo,
     id_bits: u16,
     val_bits: u16,
 }
 
 impl WireSize for EnMessage {
     fn wire_bits(&self) -> u64 {
-        2 + self.entries.len() as u64 * (self.id_bits as u64 + self.val_bits as u64)
+        2 + u64::from(self.top.len) * (self.id_bits as u64 + self.val_bits as u64)
     }
-}
-
-/// Keep the best two entries for *distinct* centers, ordered by
-/// (value desc, id asc). Returns whether anything changed.
-fn merge_entry(top: &mut Vec<Entry>, cand: Entry) -> bool {
-    if cand.1 < 0 {
-        return false;
-    }
-    if let Some(existing) = top.iter_mut().find(|e| e.0 == cand.0) {
-        if existing.1 >= cand.1 {
-            return false;
-        }
-        existing.1 = cand.1;
-    } else {
-        top.push(cand);
-    }
-    top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    if top.len() > 2 {
-        top.truncate(2);
-    }
-    true
 }
 
 /// Per-node protocol for one EN phase.
@@ -107,7 +130,7 @@ fn merge_entry(top: &mut Vec<Entry>, cand: Entry) -> bool {
 struct EnPhase {
     alive: bool,
     radius: u32,
-    top: Vec<Entry>,
+    top: TopTwo,
     deadline: u32,
     changed: bool,
     id_bits: u16,
@@ -117,15 +140,16 @@ struct EnPhase {
 impl EnPhase {
     fn message(&self) -> EnMessage {
         EnMessage {
-            entries: self.top.clone(),
+            top: self.top,
             id_bits: self.id_bits,
             val_bits: self.val_bits,
         }
     }
 
     fn decide(&self) -> Option<u64> {
-        let m1 = self.top.first()?;
-        let m2 = self.top.get(1).map_or(0, |e| e.1.max(0));
+        let top = self.top.as_slice();
+        let m1 = top.first()?;
+        let m2 = top.get(1).map_or(0, |e| e.1.max(0));
         if m1.1 - m2 > 1 {
             Some(m1.0)
         } else {
@@ -157,7 +181,7 @@ impl BatchProtocol for EnPhase {
         }
         self.changed = false;
         for (_, msg) in inbox.iter() {
-            for &(center, value) in &msg.entries {
+            for &(center, value) in msg.top.as_slice() {
                 // One hop of decay.
                 if merge_entry(&mut self.top, (center, value - 1)) {
                     self.changed = true;
@@ -249,7 +273,7 @@ pub fn elkin_neiman_with_sampler(
                 EnPhase {
                     alive: alive[v],
                     radius,
-                    top: Vec::new(),
+                    top: TopTwo::default(),
                     deadline: cfg.rounds_per_phase(),
                     changed: false,
                     id_bits,
@@ -393,13 +417,35 @@ mod tests {
 
     #[test]
     fn merge_entry_keeps_best_two_distinct() {
-        let mut top = Vec::new();
+        let mut top = TopTwo::default();
         assert!(merge_entry(&mut top, (5, 3)));
         assert!(merge_entry(&mut top, (7, 5)));
         assert!(!merge_entry(&mut top, (5, 2))); // worse value, same center
         assert!(merge_entry(&mut top, (9, 4)));
-        assert_eq!(top, vec![(7, 5), (9, 4)]);
+        assert_eq!(top.as_slice(), [(7, 5), (9, 4)]);
         assert!(!merge_entry(&mut top, (1, -1))); // negative values ignored
+    }
+
+    #[test]
+    fn merge_entry_reports_a_dropped_candidate_as_a_change() {
+        // A new center ranking third leaves the top two as they were, yet
+        // the merge reports a change: that rebroadcast is part of the
+        // protocol's message count, which the golden pins below fix.
+        let mut top = TopTwo::default();
+        assert!(merge_entry(&mut top, (7, 5)));
+        assert!(merge_entry(&mut top, (9, 4)));
+        let before = top;
+        assert!(merge_entry(&mut top, (3, 1)));
+        assert_eq!(top, before);
+        // A value tie ranks by id, so a larger id is dropped as well ...
+        assert!(merge_entry(&mut top, (11, 4)));
+        assert_eq!(top, before);
+        // ... and a smaller one displaces the old second.
+        assert!(merge_entry(&mut top, (8, 4)));
+        assert_eq!(top.as_slice(), [(7, 5), (8, 4)]);
+        // A dropped center that returns with a better value re-enters.
+        assert!(merge_entry(&mut top, (9, 6)));
+        assert_eq!(top.as_slice(), [(9, 6), (7, 5)]);
     }
 
     #[test]

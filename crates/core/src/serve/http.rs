@@ -22,13 +22,22 @@
 //!
 //! **Sharding and determinism.** Each worker accepts on its own clone of
 //! the listener (prefork style: the kernel load-balances connections, a
-//! connection stays on one worker for its lifetime). Sessions live in one
-//! slot array behind per-session locks, exactly one lock per slot — the
+//! connection stays on one worker for its lifetime). The
 //! [`Fleet`](super::Fleet) placement-determinism argument carries over
 //! verbatim: every answer is a deterministic function of
 //! `(graph, request)`, so *which* worker serves a request cannot change a
 //! bit of any response (`tests/http_server.rs` pins keep-alive replays
 //! byte-identical).
+//!
+//! **Cold builds stay off the read path.** Each served graph is a slot of
+//! two locks: a short-held *published* part — the answers built so far,
+//! each shared with the session's response cache, plus the counters a
+//! scrape reports — and the *builder* [`Session`], which only a cache miss
+//! locks. A warm hit probes and encodes under the published lock; a miss
+//! releases it, builds under the builder lock and publishes the answer with
+//! one push; a scrape reads published state only. So neither a warm hit
+//! nor a `/metrics` scrape waits for a construction on any graph
+//! (`tests/http_server.rs` pins this with a build in flight).
 //!
 //! **Failure is typed.** Every protocol violation is an [`HttpError`] with
 //! a status code and a JSON error body; solver failures are HTTP 200 with
@@ -42,15 +51,16 @@
 //! poll interval). Dropping the server shuts it down.
 
 use super::metrics::{Endpoint, MetricsShard, MetricsSnapshot};
-use super::session::Session;
-use super::wire::{self, RequestSet, WireError};
+use super::request::Request;
+use super::session::{CachedAnswer, Session, SessionStats};
+use super::wire::{self, ReplyMode, RequestSet, WireError};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Front-end knobs. The defaults serve loopback benchmarks; production
@@ -360,10 +370,97 @@ pub fn parse_head(bytes: &[u8]) -> Result<Option<Head<'_>>, HttpError> {
     }))
 }
 
+/// State every worker shares: one [`Slot`] per served graph, one metrics
+/// shard per worker, and the shutdown flag.
 struct Shared {
-    sessions: Vec<Mutex<Session>>,
+    slots: Vec<Slot>,
     shards: Vec<MetricsShard>,
     shutdown: AtomicBool,
+}
+
+/// One served graph, split so that a construction never blocks a reader.
+///
+/// Lock order: a thread holding `published` never waits for `builder`. A
+/// miss releases `published` before it takes `builder`, and a builder takes
+/// `published` only to publish, which no reader holds for longer than one
+/// probe and encode.
+///
+/// The server never edits its sessions. An edit path would have to drop
+/// the published answers together with the builder session's responses.
+struct Slot {
+    published: Mutex<Published>,
+    builder: Mutex<Session>,
+}
+
+/// What readers and scrapes see of one graph.
+struct Published {
+    /// The builder session's response cache, entry for entry (publishing
+    /// happens under the builder lock, so the two never disagree outside
+    /// it). The entries are shared, not copied.
+    answers: Vec<Arc<CachedAnswer>>,
+    /// `requests` and `response_hits` are counted here by readers; the
+    /// other counters are the builder's, copied at every publish.
+    stats: SessionStats,
+}
+
+/// Lock, recovering from poison: a published update is one push or one
+/// counter add, so a panic never leaves one half done, and a build that
+/// panics pushes no cache entry.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Slot {
+    /// Serve `session`, publishing the answers it already holds so a warmed
+    /// session starts hot.
+    fn new(session: Session) -> Self {
+        let published = Published {
+            answers: session.cached_answers().to_vec(),
+            stats: session.stats(),
+        };
+        Self {
+            published: Mutex::new(published),
+            builder: Mutex::new(session),
+        }
+    }
+
+    /// Answer `request` into `out`. A hit probes and encodes under the
+    /// published lock; a miss releases it and goes to [`Slot::build`].
+    fn answer(&self, request: &Request, reply: ReplyMode, out: &mut String) {
+        let mut guard = lock(&self.published);
+        let Published { answers, stats } = &mut *guard;
+        stats.requests += 1;
+        if let Some(hit) = answers.iter().find(|e| e.request == *request) {
+            stats.response_hits += 1;
+            wire::encode_response(out, reply, hit.answer.as_ref());
+            return;
+        }
+        drop(guard);
+        let built = self.build(request);
+        wire::encode_response(out, reply, built.answer.as_ref());
+    }
+
+    /// Answer a published-list miss under the builder lock and publish it.
+    /// Workers that miss the same request serialize here: the second finds
+    /// the first one's answer in the session's response cache — a hit, as
+    /// it would be on a lone session — so no construction runs twice.
+    fn build(&self, request: &Request) -> Arc<CachedAnswer> {
+        let mut builder = lock(&self.builder);
+        let (entry, hit) = builder.solve_cached(request);
+        let entry = Arc::clone(entry);
+        let mut published = lock(&self.published);
+        if hit {
+            published.stats.response_hits += 1;
+        } else {
+            published.answers.push(Arc::clone(&entry));
+        }
+        published.stats = SessionStats {
+            requests: published.stats.requests,
+            response_hits: published.stats.response_hits,
+            ..builder.stats()
+        };
+        entry
+    }
 }
 
 /// The running front-end. Constructed by [`HttpServer::start`]; stopped by
@@ -400,7 +497,7 @@ impl HttpServer {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            sessions: sessions.into_iter().map(Mutex::new).collect(),
+            slots: sessions.into_iter().map(Slot::new).collect(),
             shards: (0..workers).map(|_| MetricsShard::new()).collect(),
             shutdown: AtomicBool::new(false),
         });
@@ -432,10 +529,12 @@ impl HttpServer {
         self.handles.len()
     }
 
-    /// The folded metrics: every session's counters plus the HTTP shards —
-    /// exactly what `GET /metrics` serves (the scrape handler deliberately
-    /// records nothing, so scraping then snapshotting with no intervening
-    /// traffic yields equal values; `h1` asserts byte equality).
+    /// The folded metrics: every graph's published counters plus the HTTP
+    /// shards — exactly what `GET /metrics` serves (the scrape handler
+    /// deliberately records nothing, so scraping then snapshotting with no
+    /// intervening traffic yields equal values; `h1` asserts byte
+    /// equality). Reads published state only, so it never waits for a
+    /// build in flight.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         snapshot(&self.shared)
     }
@@ -469,14 +568,11 @@ impl Drop for HttpServer {
     }
 }
 
+/// Fold every graph's published counters and the worker shards. Takes
+/// each published lock only to copy its counters, never a builder lock.
 fn snapshot(shared: &Shared) -> MetricsSnapshot {
-    MetricsSnapshot::from_stats(
-        shared
-            .sessions
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).stats()),
-    )
-    .with_shards(&shared.shards)
+    MetricsSnapshot::from_stats(shared.slots.iter().map(|s| lock(&s.published).stats))
+        .with_shards(&shared.shards)
 }
 
 fn worker_loop(worker: usize, listener: &TcpListener, shared: &Shared, config: &HttpConfig) {
@@ -731,31 +827,22 @@ fn route(
                 Ok(s) => s,
                 Err(e) => return Routed::Fail(HttpError::Body(e)),
             };
-            let Some(slot) = shared.sessions.get(solve.graph) else {
+            let Some(slot) = shared.slots.get(solve.graph) else {
                 return Routed::Fail(HttpError::GraphOutOfRange {
                     graph: solve.graph,
-                    sessions: shared.sessions.len(),
+                    sessions: shared.slots.len(),
                 });
             };
-            let mut session = slot.lock().unwrap_or_else(PoisonError::into_inner);
             conn.body.clear();
             match &solve.requests {
-                RequestSet::One(request) => {
-                    let result = session.solve(request);
-                    wire::encode_response(&mut conn.body, solve.reply, result.as_ref().map(|r| *r));
-                }
+                RequestSet::One(request) => slot.answer(request, solve.reply, &mut conn.body),
                 RequestSet::Batch(batch) => {
                     conn.body.push('[');
                     for (i, request) in batch.iter().enumerate() {
                         if i > 0 {
                             conn.body.push(',');
                         }
-                        let result = session.solve(request);
-                        wire::encode_response(
-                            &mut conn.body,
-                            solve.reply,
-                            result.as_ref().map(|r| *r),
-                        );
+                        slot.answer(request, solve.reply, &mut conn.body);
                     }
                     conn.body.push(']');
                 }
@@ -844,6 +931,44 @@ fn respond_error(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locality_graph::Graph;
+
+    #[test]
+    fn concurrent_misses_of_one_request_build_once() {
+        let slot = Slot::new(Session::new(Graph::grid(6, 6)));
+        let request = Request::mis();
+        let builder = lock(&slot.builder);
+        let bodies: Vec<String> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = String::new();
+                        slot.answer(&request, ReplyMode::default(), &mut out);
+                        out
+                    })
+                })
+                .collect();
+            // Both readers have missed the published list once both are
+            // counted; they then queue on the builder lock held here.
+            while lock(&slot.published).stats.requests < 2 {
+                std::thread::yield_now();
+            }
+            drop(builder);
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader thread"))
+                .collect()
+        });
+        assert_eq!(bodies[0], bodies[1]);
+        let published = lock(&slot.published);
+        assert_eq!(published.answers.len(), 1);
+        assert_eq!(published.stats.requests, 2);
+        assert_eq!(
+            published.stats.response_hits, 1,
+            "the second miss is a hit in the builder's cache"
+        );
+        assert_eq!(published.stats.solver_runs, 1, "no construction runs twice");
+    }
 
     #[test]
     fn heads_parse_incrementally_and_identically() {

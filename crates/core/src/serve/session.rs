@@ -53,6 +53,7 @@ use locality_graph::Graph;
 use locality_rand::source::PrngSource;
 use locality_sim::cost::CostMeter;
 use locality_sim::slocal::{BallView, SlocalRunner, SlocalScratch};
+use std::sync::Arc;
 
 /// Shift rate for the randomized MPX tier: cluster radius `O(log n / β)`
 /// against an `O(β)` edge-cut probability. 0.4 keeps diameters close to the
@@ -223,6 +224,16 @@ pub(crate) struct DecompSlot {
     pub(crate) plan: consume::ConsumerPlan,
 }
 
+/// One response-cache entry: a request and its answer. Entries are
+/// immutable once built and shared by reference count — with clones of the
+/// session and with [`HttpServer`](super::HttpServer)'s published answers —
+/// so each answer exists once however many holders it has.
+#[derive(Debug)]
+pub(crate) struct CachedAnswer {
+    pub(crate) request: Request,
+    pub(crate) answer: Result<Response, SolveError>,
+}
+
 #[derive(Debug, Clone)]
 struct PowerSlot {
     r: u32,
@@ -270,7 +281,7 @@ pub struct Session {
     palette: usize,
     decomps: Vec<DecompSlot>,
     powers: Vec<PowerSlot>,
-    responses: Vec<(Request, Result<Response, SolveError>)>,
+    responses: Vec<Arc<CachedAnswer>>,
     diam_scratch: DiameterScratch,
     slocal_scratch: SlocalScratch,
     probe: Option<CostProbe>,
@@ -338,22 +349,31 @@ impl Session {
     /// answers — a deterministically failing request never re-runs its
     /// construction.
     pub fn solve(&mut self, request: &Request) -> Result<&Response, SolveError> {
-        self.stats.requests += 1;
-        let i = match self.responses.iter().position(|(r, _)| r == request) {
-            Some(i) => {
-                self.stats.response_hits += 1;
-                i
-            }
-            None => {
-                let result = self.compute(request);
-                self.responses.push((request.clone(), result));
-                self.responses.len() - 1
-            }
-        };
-        match &self.responses[i].1 {
+        match &self.solve_cached(request).0.answer {
             Ok(response) => Ok(response),
             Err(e) => Err(e.clone()),
         }
+    }
+
+    /// [`Session::solve`], returning the shared cache entry and whether it
+    /// was a hit (the HTTP front-end publishes the entry to its readers).
+    pub(crate) fn solve_cached(&mut self, request: &Request) -> (&Arc<CachedAnswer>, bool) {
+        self.stats.requests += 1;
+        if let Some(i) = self.responses.iter().position(|e| e.request == *request) {
+            self.stats.response_hits += 1;
+            return (&self.responses[i], true);
+        }
+        let answer = self.compute(request);
+        self.responses.push(Arc::new(CachedAnswer {
+            request: request.clone(),
+            answer,
+        }));
+        (&self.responses[self.responses.len() - 1], false)
+    }
+
+    /// The response cache, oldest entry first.
+    pub(crate) fn cached_answers(&self) -> &[Arc<CachedAnswer>] {
+        &self.responses
     }
 
     /// Answer a batch in order, returning owned responses. Exactly
@@ -550,7 +570,7 @@ impl Session {
         }
         let before = self.responses.len();
         self.responses
-            .retain(|(_, r)| matches!(r, Err(SolveError::UnsupportedStrategy { .. })));
+            .retain(|e| matches!(e.answer, Err(SolveError::UnsupportedStrategy { .. })));
         stats.responses_retained = self.responses.len() as u64;
         stats.responses_invalidated = (before - self.responses.len()) as u64;
         self.stats.responses_dropped += stats.responses_invalidated;

@@ -1,15 +1,17 @@
 //! End-to-end tests for the hand-rolled HTTP front-end over real loopback
 //! sockets: routing, typed protocol errors with the right status codes,
 //! keep-alive serving bit-identical responses, pipelining, size caps,
-//! scrape-equals-snapshot, and graceful shutdown.
+//! scrape-equals-snapshot, reads answered while a cold build runs, counters
+//! equal to a lone session's, and graceful shutdown.
 
+use locality_core::serve::wire::{decode_solve_body, encode_response, RequestSet};
 use locality_core::serve::{HttpConfig, HttpServer, Session};
 use locality_graph::Graph;
 use locality_json::Json;
 use locality_rand::prng::SplitMix64;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_graph(seed: u64) -> Graph {
     let mut prng = SplitMix64::new(seed);
@@ -50,13 +52,32 @@ impl Client {
         self.stream.write_all(raw).expect("request write");
     }
 
-    fn post_solve(&mut self, body: &str) -> (u16, String) {
+    fn send_solve(&mut self, body: &str) {
         let raw = format!(
             "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
         self.send(raw.as_bytes());
+    }
+
+    fn post_solve(&mut self, body: &str) -> (u16, String) {
+        self.send_solve(body);
         self.read_response()
+    }
+
+    /// Whether any response byte has arrived, without consuming it.
+    fn has_reply(&mut self) -> bool {
+        if !self.buf.is_empty() {
+            return true;
+        }
+        self.stream.set_nonblocking(true).expect("nonblocking");
+        let peeked = self.stream.peek(&mut [0u8; 1]);
+        self.stream.set_nonblocking(false).expect("blocking");
+        match peeked {
+            Ok(n) => n > 0,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => false,
+            Err(e) => panic!("peek failed: {e}"),
+        }
     }
 
     fn get(&mut self, path: &str) -> (u16, String) {
@@ -290,6 +311,169 @@ fn metrics_scrape_equals_in_process_snapshot() {
             .expect("p99")
             > 0.0
     );
+    server.shutdown();
+}
+
+/// The body the server must send for `body`, computed on `session` in
+/// process, the way the server answers one request or a batch.
+fn answer_in_process(session: &mut Session, body: &str) -> String {
+    let solve = decode_solve_body(body.as_bytes()).expect("solve body decodes");
+    let mut out = String::new();
+    let mut answer = |out: &mut String, request| {
+        let result = session.solve(request);
+        encode_response(out, solve.reply, result.as_ref().map(|r| *r));
+    };
+    match &solve.requests {
+        RequestSet::One(request) => answer(&mut out, request),
+        RequestSet::Batch(batch) => {
+            out.push('[');
+            for (i, request) in batch.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                answer(&mut out, request);
+            }
+            out.push(']');
+        }
+    }
+    out
+}
+
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let started = Instant::now();
+    while !done() {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn scraped_int(scraped: &str, key: &str) -> i64 {
+    Json::parse(scraped)
+        .expect("scrape parses")
+        .get(key)
+        .and_then(Json::as_int)
+        .unwrap_or_else(|| panic!("{key} missing from {scraped}"))
+}
+
+#[test]
+fn reads_never_wait_for_a_build() {
+    // Graph 0 is large enough that an Elkin–Neiman build takes well over
+    // half a second in a debug build.
+    let big = Graph::gnp_connected(4096, 4.0 / 4096.0, &mut SplitMix64::new(5));
+    let mut sessions = vec![Session::new(big), Session::new(test_graph(0xbeef))];
+    let warm0 = "{\"graph\": 0, \"request\": {\"kind\": \"mis\", \"strategy\": \"direct\"}}";
+    let warm1 = "{\"graph\": 1, \"request\": {\"kind\": \"mis\"}}";
+    let cold = "{\"graph\": 0, \"request\": {\"kind\": \"decompose\", \
+                \"decomposition\": {\"method\": \"elkin_neiman\", \"seed\": 7}}}";
+    // Warmed in process: the server starts with these answers published.
+    let want0 = answer_in_process(&mut sessions[0], warm0);
+    let want1 = answer_in_process(&mut sessions[1], warm1);
+    let mut reference = sessions[0].clone();
+    let server = HttpServer::start(sessions, HttpConfig::new().with_workers(2)).expect("starts");
+    let before = server.metrics_snapshot();
+
+    // Connection A sends the cold request and reads nothing; wait until a
+    // worker has counted it, so that worker is busy building.
+    let mut a = Client::new(&server);
+    a.send_solve(cold);
+    wait_for("the cold request to be taken", || {
+        server.metrics_snapshot().requests > before.requests
+    });
+
+    // Connection B, on the other worker: warm hits on the graph being
+    // built, a hit on the other graph, and a scrape — all answered while
+    // the build is still running.
+    let mut b = Client::new(&server);
+    for _ in 0..100 {
+        assert_eq!(b.post_solve(warm0), (200, want0.clone()));
+    }
+    assert_eq!(b.post_solve(warm1), (200, want1));
+    let (status, scraped) = b.get("/metrics");
+    assert_eq!(status, 200);
+    assert_eq!(
+        scraped_int(&scraped, "requests"),
+        before.requests as i64 + 102
+    );
+    assert_eq!(
+        scraped_int(&scraped, "response_hits"),
+        before.response_hits as i64 + 101
+    );
+    assert!(
+        !a.has_reply(),
+        "the cold reply arrived before the reads were answered: they waited for the build"
+    );
+
+    // The build finishes and answers as a lone session would.
+    let want_cold = answer_in_process(&mut reference, cold);
+    assert_eq!(a.read_response(), (200, want_cold));
+    let after = server.metrics_snapshot();
+    assert_eq!(after.solver_runs, before.solver_runs + 1);
+    assert_eq!(after.decompositions_built, before.decompositions_built + 1);
+    let (_, scraped) = b.get("/metrics");
+    assert_eq!(scraped, server.metrics_snapshot().to_json());
+    server.shutdown();
+}
+
+#[test]
+fn scripted_traffic_counts_as_one_session_would() {
+    let g = Graph::gnp_connected(1024, 4.0 / 1024.0, &mut SplitMix64::new(9));
+    let mut reference = Session::new(g.clone());
+    let server = HttpServer::start(vec![Session::new(g)], HttpConfig::new().with_workers(2))
+        .expect("starts");
+    let mis = "{\"graph\": 0, \"request\": {\"kind\": \"mis\"}}";
+    let cold = "{\"graph\": 0, \"request\": {\"kind\": \"decompose\", \
+                \"decomposition\": {\"method\": \"elkin_neiman\", \"seed\": 3}}}";
+    let batch = "{\"graph\": 0, \"requests\": [{\"kind\": \"mis\"}, {\"kind\": \"coloring\"}, \
+                 {\"kind\": \"decompose\", \"decomposition\": {\"method\": \"elkin_neiman\", \
+                 \"seed\": 3}}]}";
+    let unsupported =
+        "{\"graph\": 0, \"request\": {\"kind\": \"slocal\", \"strategy\": \"direct\"}}";
+
+    let mut c1 = Client::new(&server);
+    let mut c2 = Client::new(&server);
+    // Read one reply and feed the same request to the lone session.
+    let mut check = |client: &mut Client, body: &str| {
+        let want = answer_in_process(&mut reference, body);
+        assert_eq!(client.read_response(), (200, want), "{body}");
+    };
+    // Warm hits: one cold MIS, then repeats.
+    for _ in 0..4 {
+        c1.send_solve(mis);
+        check(&mut c1, mis);
+    }
+    // The same cold request from two connections at once: the builder runs
+    // it once, and the loser of the race counts a hit.
+    c1.send_solve(cold);
+    c2.send_solve(cold);
+    check(&mut c1, cold);
+    check(&mut c2, cold);
+    // A batch holding hits and a miss.
+    c2.send_solve(batch);
+    check(&mut c2, batch);
+    // An unsupported strategy: a typed error, cached like an answer.
+    for _ in 0..2 {
+        c1.send_solve(unsupported);
+        check(&mut c1, unsupported);
+    }
+
+    let (status, scraped) = c1.get("/metrics");
+    assert_eq!(status, 200);
+    assert_eq!(scraped, server.metrics_snapshot().to_json());
+    let stats = reference.stats();
+    for (key, want) in [
+        ("requests", stats.requests),
+        ("response_hits", stats.response_hits),
+        ("solver_runs", stats.solver_runs),
+        ("decompositions_built", stats.decompositions_built),
+        ("decomposition_hits", stats.decomposition_hits),
+    ] {
+        assert_eq!(scraped_int(&scraped, key), want as i64, "{key}: {scraped}");
+    }
+    assert_eq!(stats.requests, 11);
+    assert_eq!(stats.solver_runs, 4, "mis, decompose, coloring, slocal");
     server.shutdown();
 }
 
