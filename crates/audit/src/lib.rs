@@ -26,7 +26,9 @@
 //!   comments).
 //! * [`engine`] — the workspace walk, per-path pass policy, suppression
 //!   accounting, and the [`engine::Report`].
-//! * [`report`] — text and JSON rendering (the `bench-audit` CI artifact).
+//! * [`report`] — text and JSON rendering (the committed `BENCH_audit.json`
+//!   record and the `bench-audit` CI artifact, both written by the `audit`
+//!   binary's `--json`).
 //!
 //! The `audit` binary (`cargo run -p locality-audit -- [--json [path]]`)
 //! exits nonzero on any unsuppressed finding and is wired as a CI gate;

@@ -1,7 +1,7 @@
-//! Rendering a [`Report`] for humans (the CLI) and machines (the
-//! `bench-audit` CI artifact). The JSON writer is hand-rolled and
-//! dependency-free, like everything else in this crate; the schema is
-//! shared with the `a2` experiment, which emits the same summary.
+//! Rendering a [`Report`] for humans (the CLI) and machines (the committed
+//! `BENCH_audit.json` record and the `bench-audit` CI artifact, both
+//! written by `audit --json`, the only producer). The JSON writer is
+//! hand-rolled and dependency-free, like everything else in this crate.
 
 use crate::engine::Report;
 use crate::lints::LintId;
@@ -58,7 +58,9 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Machine-readable rendering: the `bench-audit` artifact schema.
+/// Machine-readable rendering: the `BENCH_audit.json` / `bench-audit`
+/// artifact schema. The `"experiment": "a2"` tag is the record's name, kept
+/// so that earlier artifacts stay comparable.
 ///
 /// ```json
 /// {

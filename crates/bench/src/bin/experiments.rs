@@ -1,4 +1,5 @@
-//! Regenerate the theorem-derived tables (T1–T10) and figures (F1–F4).
+//! Regenerate the theorem-derived tables (T1–T10), figures (F1–F4) and
+//! benchmark records (A1, D1, D2, P1, S1, E1, R1, H1).
 //!
 //! ```sh
 //! cargo run -p locality-bench --release --bin experiments -- all
@@ -8,41 +9,33 @@
 //! ```
 
 use locality_bench::experiments;
+use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: experiments [options] <all | t1..t10 a1 a2 d1 d2 p1 s1 e1 r1 h1 f1..f4>...
+const USAGE: &str = "usage: experiments [options] <all | t1..t10 a1 d1 d2 p1 s1 e1 r1 h1 f1..f4>...
 
-Regenerates the theorem-derived tables (T1-T10), the unified
-LocalAlgorithm accounting table (A1), the derandomizer scaling
-benchmark (D1), the producer matrix (D2: deterministic vs MPX vs
-Elkin-Neiman), the end-to-end pipeline benchmark (P1), the serving
-facade workload benchmark (S1), the dynamic-edit repair benchmark
-(E1), the fault/corruption chaos matrix (R1), the live HTTP
-front-end load test (H1), the static audit summary (A2: the
-locality-audit lint gate's counts), and figures (F1-F4) described
-in DESIGN.md section 3. Pass `all` to run every experiment, or any
-mix of individual ids.
+Regenerates the theorem-derived tables (T1-T10) and figures (F1-F4), the
+LocalAlgorithm accounting table (A1), the derandomizer scaling (D1),
+producer matrix (D2), pipeline (P1), serving workload (S1), edit repair
+(E1), chaos matrix (R1) and HTTP load (H1) benchmarks of DESIGN.md
+section 3. Pass `all` or any mix of ids. A failed check exits 1.
 
 options:
-  --json <path>  write machine-readable results to <path> (the
-                 D1/D2/P1/E1/R1/H1 rows, the S1 summary, or the A2
-                 audit summary — the BENCH_derand.json /
-                 BENCH_producers.json / BENCH_pipeline.json /
-                 BENCH_serve.json / BENCH_edits.json /
-                 BENCH_faults.json / BENCH_http.json /
-                 BENCH_audit.json schemas; requires exactly one of
-                 d1/d2/p1/s1/e1/r1/h1/a2 among the ids)
+  --json <path>  write the one experiment's record to <path>: its fields and
+                 tables plus a provenance header (git rev, nproc, build
+                 profile, wall time, peak RSS); d1/d2/p1/s1/e1/r1/h1 write the
+                 BENCH_derand/producers/pipeline/serve/edits/faults/http.json
+                 schemas
   --huge         include the largest rows: n = 10^5 in D1, n = 10^5 and
                  10^6 in P1 and E1, n = 10^6 and 10^7 in D2, n = 2000 in
                  R1, 10^6 requests at the top H1 level (tens of seconds
                  to minutes of compute, GBs of memory)
   -h, --help     print this message and exit";
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
-        return;
+        return ExitCode::SUCCESS;
     }
     let mut ids: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
@@ -52,121 +45,51 @@ fn main() {
         match arg.as_str() {
             "--json" => match it.next() {
                 Some(path) => json_path = Some(path.clone()),
-                None => {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                }
+                None => return usage_error("--json requires a path argument"),
             },
             "--huge" => huge = true,
             other => ids.push(other.to_lowercase()),
         }
     }
     if ids.is_empty() {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        return usage_error(USAGE);
     }
-    if let Some(bad) = ids
-        .iter()
-        .find(|id| *id != "all" && !experiments::ALL.contains(&id.as_str()))
-    {
-        eprintln!(
-            "unknown experiment id: {bad} (known: all, {})",
-            experiments::ALL.join(", ")
-        );
-        std::process::exit(2);
+    let known = |id: &String| id == "all" || experiments::ALL.contains(&id.as_str());
+    if let Some(bad) = ids.iter().find(|id| !known(id)) {
+        let all = experiments::ALL.join(", ");
+        return usage_error(&format!("unknown experiment id: {bad} (known: all, {all})"));
     }
     if ids.iter().any(|id| id == "all") {
         ids = experiments::ALL.iter().map(|s| s.to_string()).collect();
     }
-    if json_path.is_some() {
-        let recordable = ids
-            .iter()
-            .filter(|id| {
-                *id == "d1"
-                    || *id == "d2"
-                    || *id == "p1"
-                    || *id == "s1"
-                    || *id == "e1"
-                    || *id == "r1"
-                    || *id == "h1"
-                    || *id == "a2"
-            })
-            .count();
-        if recordable != 1 {
-            eprintln!(
-                "--json captures exactly one machine-readable experiment per run; \
-                 pass exactly one of d1/d2/p1/s1/e1/r1/h1/a2 among the ids — note `all` \
-                 expands to all of them, so record them in separate runs"
-            );
-            std::process::exit(2);
-        }
+    if json_path.is_some() && ids.len() != 1 {
+        return usage_error(
+            "--json records exactly one experiment per run; pass one id \
+             (`all` expands to every id, so record them in separate runs)",
+        );
     }
-    let write_json = |path: &str, json: String| {
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nwrote {path}");
-    };
     for id in &ids {
-        match id.as_str() {
-            "d1" => {
-                let rows = experiments::d1_derand_rows(huge);
-                experiments::print_derand_rows(&rows);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::derand_rows_json(&rows));
-                }
+        let record = match experiments::run(id, huge) {
+            Ok(record) => record,
+            Err(e) => {
+                eprintln!("experiment {id} failed: {e}");
+                return ExitCode::FAILURE;
             }
-            "d2" => {
-                let rows = experiments::d2_producer_rows(huge);
-                experiments::print_producer_rows(&rows);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::producer_rows_json(&rows));
-                }
+        };
+        print!("{}", record.render_text());
+        if let Some(path) = &json_path {
+            if let Err(e) = std::fs::write(path, record.to_json().to_pretty()) {
+                eprintln!("failed to write {path}: {e}");
+                return ExitCode::FAILURE;
             }
-            "p1" => {
-                let rows = experiments::p1_pipeline_rows(huge);
-                experiments::print_pipeline_rows(&rows);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::pipeline_rows_json(&rows));
-                }
-            }
-            "s1" => {
-                let summary = experiments::s1_serve_summary();
-                experiments::print_serve_summary(&summary);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::serve_summary_json(&summary));
-                }
-            }
-            "e1" => {
-                let rows = experiments::e1_edit_rows(huge);
-                experiments::print_edit_rows(&rows);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::edit_rows_json(&rows));
-                }
-            }
-            "r1" => {
-                let rows = experiments::r1_fault_rows(huge);
-                experiments::print_fault_rows(&rows);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::fault_rows_json(&rows));
-                }
-            }
-            "h1" => {
-                let report = experiments::h1_http_report(huge);
-                experiments::print_http_report(&report);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::http_report_json(&report));
-                }
-            }
-            "a2" => {
-                let report = experiments::a2_audit_summary();
-                experiments::print_audit_summary(&report);
-                if let Some(path) = &json_path {
-                    write_json(path, experiments::audit_summary_json(&report));
-                }
-            }
-            other => experiments::run(other),
+            println!("\nwrote {path}");
         }
     }
+    ExitCode::SUCCESS
+}
+
+/// Print `message` and return the usage-error exit code.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::from(2)
 }

@@ -1,13 +1,15 @@
-//! The experiment suite: one function per table/figure of DESIGN.md §3.
+//! The experiment suite: one function per table/figure of DESIGN.md §3, each
+//! returning a [`Record`], all reached through [`run`].
 
-use crate::table::Table;
+use crate::record::{Cell, Column, Record};
+use crate::{cells, columns};
 use locality_core::algorithm::{LocalAlgorithm, RoundStats};
 use locality_core::boost::{boosted_decomposition, max_separated_subset, BoostConfig};
 use locality_core::cfc::{conflict_free_multicolor, random_hypergraph};
 use locality_core::coloring;
 use locality_core::decomposition::{
     ball_carving_decomposition, derandomized_decomposition, elkin_neiman, elkin_neiman_kwise,
-    elkin_neiman_partial, ElkinNeimanConfig,
+    elkin_neiman_partial, DecompQuality, Decomposition, ElkinNeimanConfig,
 };
 use locality_core::derand::{
     enumerate_derandomize, ps92_rounds, theorem43_log_t_of_n, theorem46_thresholds,
@@ -19,103 +21,189 @@ use locality_core::sparse::{
     choose_holders, max_weak_diameter, sparse_randomness_decomposition, SparsePipelineConfig,
 };
 use locality_core::splitting::{solve_shared, SeedExpansion, SplittingInstance};
-use locality_graph::generators::Family;
+use locality_graph::generators::Family::{self, Cycle, GnpSparse, Grid, RandomTree};
 use locality_graph::ids::IdAssignment;
 use locality_graph::Graph;
+use locality_json::Json;
 use locality_rand::kwise::KWiseBits;
 use locality_rand::prng::SplitMix64;
 use locality_rand::shared::SharedSeed;
 use locality_rand::source::PrngSource;
 use locality_rand::sparse::SparseBits;
+use std::fmt;
+use std::time::Instant;
 
 /// All experiment identifiers, in report order.
-pub const ALL: [&str; 23] = [
-    "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "a1", "a2", "d1", "d2", "p1",
-    "s1", "e1", "r1", "h1", "f1", "f2", "f3", "f4",
+pub const ALL: [&str; 22] = [
+    "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "a1", "d1", "d2", "p1", "s1",
+    "e1", "r1", "h1", "f1", "f2", "f3", "f4",
 ];
 
-/// Dispatch one experiment by id (lowercase). Unknown ids are reported.
-pub fn run(id: &str) {
-    match id {
-        "t1" => t1_en_baseline(),
-        "a1" => a1_local_algorithms(),
-        "a2" => print_audit_summary(&a2_audit_summary()),
-        "d1" => print_derand_rows(&d1_derand_rows(false)),
-        "d2" => print_producer_rows(&d2_producer_rows(false)),
-        "p1" => print_pipeline_rows(&p1_pipeline_rows(false)),
-        "s1" => print_serve_summary(&s1_serve_summary()),
-        "e1" => print_edit_rows(&e1_edit_rows(false)),
-        "r1" => print_fault_rows(&r1_fault_rows(false)),
-        "h1" => print_http_report(&h1_http_report(false)),
-        "t2" => t2_sparse_bits(),
-        "t3" => t3_kwise_independence(),
-        "t4" => t4_shared_congest(),
-        "t5" => t5_splitting(),
-        "t6" => t6_boosting(),
-        "t7" => t7_derandomization(),
-        "t8" => t8_mis(),
-        "t9" => t9_ablations(),
-        "t10" => t10_extensions(),
-        "f1" => f1_phase_fractions(),
-        "f2" => f2_survival_curve(),
-        "f3" => f3_separated_tail(),
-        "f4" => f4_marking_concentration(),
-        other => eprintln!("unknown experiment id: {other} (known: {ALL:?})"),
+/// Why an experiment produced no record.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ExperimentError {
+    /// No experiment has this id.
+    UnknownId(String),
+    /// A setup step, a `validate` or a `verify_*` call failed: what the
+    /// experiment was doing, and the error it got.
+    Step(String),
+    /// A checked property of the results does not hold.
+    Check(String),
+    /// A row with `got` cells for the `expected` columns of `table`.
+    Arity {
+        table: &'static str,
+        expected: usize,
+        got: usize,
+    },
+}
+
+impl fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::UnknownId(id) => write!(f, "unknown experiment id: {id} ({})", ALL.join(", ")),
+            Self::Step(what) => write!(f, "{what}"),
+            Self::Check(what) => write!(f, "check failed: {what}"),
+            Self::Arity {
+                table,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "table `{table}`: a row has {got} cells for {expected} columns"
+                )
+            }
+        }
     }
 }
 
-fn fam_graph(fam: Family, n: usize, seed: u64) -> Graph {
-    let mut p = SplitMix64::new(seed);
-    fam.generate(n, &mut p)
+impl std::error::Error for ExperimentError {}
+
+/// Name the step that failed.
+trait Context<T> {
+    fn context(self, what: &str) -> Result<T, ExperimentError>;
 }
+
+impl<T, E: fmt::Display> Context<T> for Result<T, E> {
+    fn context(self, what: &str) -> Result<T, ExperimentError> {
+        self.map_err(|e| ExperimentError::Step(format!("{what}: {e}")))
+    }
+}
+
+impl<T> Context<T> for Option<T> {
+    fn context(self, what: &str) -> Result<T, ExperimentError> {
+        self.ok_or_else(|| ExperimentError::Step(format!("{what}: nothing produced")))
+    }
+}
+
+/// Return an [`ExperimentError::Check`] with the formatted message unless
+/// the condition holds.
+macro_rules! ensure {
+    ($holds:expr, $($message:tt)+) => {
+        if !$holds {
+            return Err(ExperimentError::Check(format!($($message)+)));
+        }
+    };
+}
+
+/// Run one experiment by id (lowercase) and stamp its record with the
+/// provenance header. `huge` adds the largest rows where an experiment has
+/// them (D1, D2, P1, E1, R1, H1).
+pub fn run(id: &str, huge: bool) -> Result<Record, ExperimentError> {
+    let started = Instant::now();
+    let (experiment, record) = match id {
+        "t1" => ("t1-en-baseline", t1_en_baseline()),
+        "t2" => ("t2-sparse-bits", t2_sparse_bits()),
+        "t3" => ("t3-kwise-independence", t3_kwise_independence()),
+        "t4" => ("t4-shared-congest", t4_shared_congest()),
+        "t5" => ("t5-splitting", t5_splitting()),
+        "t6" => ("t6-boosting", t6_boosting()),
+        "t7" => ("t7-derandomization", t7_derandomization()),
+        "t8" => ("t8-mis", t8_mis()),
+        "t9" => ("t9-ablations", t9_ablations()),
+        "t10" => ("t10-extensions", t10_extensions()),
+        "a1" => ("a1-local-algorithms", a1_local_algorithms()),
+        "d1" => ("d1-derand-scaling", d1_derand_scaling(huge)),
+        "d2" => ("d2-producer-matrix", d2_producer_matrix(huge)),
+        "p1" => ("p1-pipeline-scaling", p1_pipeline_scaling(huge)),
+        "s1" => ("s1-serve-workload", s1_serve_workload()),
+        "e1" => ("e1-edit-repair", e1_edit_repair(huge)),
+        "r1" => ("r1-chaos-matrix", r1_chaos_matrix(huge)),
+        "h1" => ("h1-http-load", h1_http_load(huge)),
+        "f1" => ("f1-phase-fractions", f1_phase_fractions()),
+        "f2" => ("f2-survival-curve", f2_survival_curve()),
+        "f3" => ("f3-separated-tail", f3_separated_tail()),
+        "f4" => ("f4-marking-concentration", f4_marking_concentration()),
+        _ => return Err(ExperimentError::UnknownId(id.to_string())),
+    };
+    let mut record = record?;
+    record.stamp(experiment, started);
+    Ok(record)
+}
+
+fn fam_graph(fam: Family, n: usize, seed: u64) -> Graph {
+    fam.generate(n, &mut SplitMix64::new(seed))
+}
+
+/// The cell of a randomized construction that did not finish.
+fn construction_failed() -> Cell {
+    Cell::Skipped("construction failed".to_string())
+}
+
+/// `d`'s quality, or the validation error.
+fn validated(d: &Decomposition, g: &Graph) -> Result<DecompQuality, ExperimentError> {
+    d.validate(g).context("validate a decomposition")
+}
+
+/// The colors and max diameter of a validated decomposition, or skipped
+/// cells when the randomized construction did not finish.
+fn quality(d: Option<&Decomposition>, g: &Graph) -> Result<[Cell; 2], ExperimentError> {
+    let Some(d) = d else {
+        return Ok([construction_failed(), construction_failed()]);
+    };
+    let q = validated(d, g)?;
+    Ok([q.colors.into(), q.max_diameter.into()])
+}
+
+/// `f`'s result and its wall-clock in milliseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let out = f();
+    (out, started.elapsed().as_secs_f64() * 1e3)
+}
+
+const GNP: &str = "gnp(n, 4/n)";
 
 /// T1 — [EN16] baseline: (O(log n), O(log n)) decomposition, polylog CONGEST
 /// rounds, w.h.p. success (claim: colors ≤ 10·log n; diameter ≤ 2·cap;
 /// congestion-clean messages).
-pub fn t1_en_baseline() {
-    println!("\n== T1: Elkin–Neiman randomized decomposition (baseline) ==");
-    println!("paper claim: O(log n) colors, O(log n) cluster radius, O(log^2 n) CONGEST rounds\n");
-    let mut t = Table::new(&[
-        "family",
-        "n",
-        "colors",
-        "diam",
-        "rounds",
-        "maxmsg(b)",
-        "violations",
-        "10*log2n",
-    ]);
-    for fam in [
-        Family::GnpSparse,
-        Family::RandomTree,
-        Family::Grid,
-        Family::Cycle,
-    ] {
+fn t1_en_baseline() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("T1: Elkin–Neiman randomized decomposition (baseline)");
+    r.note("paper claim: O(log n) colors, O(log n) cluster radius, O(log^2 n) CONGEST rounds");
+    const ROWS: &[Column] = &columns! {
+        family, n, colors, max_diameter("diam"), rounds, max_message_bits("maxmsg", "b"),
+        congest_violations("violations"), ten_log2_n("10*log2n"),
+    };
+    let t = r.table("rows", ROWS);
+    for fam in [GnpSparse, RandomTree, Grid, Cycle] {
         for n in [64usize, 256, 1024] {
             let g = fam_graph(fam, n, 7 + n as u64);
             let cfg = ElkinNeimanConfig::for_graph(&g);
-            let mut src = PrngSource::seeded(n as u64);
-            let out = elkin_neiman(&g, &cfg, &mut src);
-            let (colors, diam) = match &out.decomposition {
-                Some(d) => {
-                    let q = d.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                    (q.colors.to_string(), q.max_diameter.to_string())
-                }
-                None => ("FAIL".into(), "-".into()),
-            };
-            t.row_owned(vec![
-                fam.name().into(),
-                n.to_string(),
+            let out = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(n as u64));
+            let [colors, diam] = quality(out.decomposition.as_ref(), &g)?;
+            t.row(cells![
+                fam.name(),
+                n,
                 colors,
                 diam,
-                out.meter.rounds.to_string(),
-                out.meter.max_message_bits.to_string(),
-                out.meter.congest_violations.to_string(),
-                (10 * g.log2_n()).to_string(),
-            ]);
+                out.meter.rounds,
+                out.meter.max_message_bits,
+                out.meter.congest_violations,
+                10 * g.log2_n(),
+            ])?;
         }
     }
-    t.print();
+    Ok(r)
 }
 
 /// A1 — the unified [`LocalAlgorithm`] interface: MIS, trial coloring and
@@ -123,42 +211,34 @@ pub fn t1_en_baseline() {
 /// arena engine, so every column is *measured by the same metering path*
 /// (rounds are engine rounds, messages are occupied edge slots, violations
 /// are counted per directed message, random bits are actual draws).
-pub fn a1_local_algorithms() {
+fn a1_local_algorithms() -> Result<Record, ExperimentError> {
     use locality_core::coloring::TrialColoring;
     use locality_core::decomposition::ElkinNeimanDecomposition;
     use locality_core::mis::LubyMis;
 
-    println!("\n== A1: unified LocalAlgorithm accounting (engine-metered) ==");
-    println!(
-        "every algorithm runs as an engine protocol: uniform rounds/messages/bits/randomness\n"
-    );
-    let mut t = Table::new(&[
-        "algorithm",
-        "family",
-        "n",
-        "rounds",
-        "msgs",
-        "bits",
-        "maxmsg(b)",
-        "violations",
-        "randbits",
-        "valid",
-    ]);
-    let mut row = |stats: &RoundStats, family: &str, valid: String| {
-        t.row_owned(vec![
-            stats.algorithm.into(),
-            family.into(),
-            stats.n.to_string(),
-            stats.meter.rounds.to_string(),
-            stats.meter.messages.to_string(),
-            stats.meter.bits_sent.to_string(),
-            stats.meter.max_message_bits.to_string(),
-            stats.meter.congest_violations.to_string(),
-            stats.meter.random_bits.to_string(),
-            valid,
-        ]);
+    let mut r = Record::new("A1: unified LocalAlgorithm accounting (engine-metered)");
+    r.note("every algorithm runs as an engine protocol: uniform rounds/messages/bits/randomness");
+    const ROWS: &[Column] = &columns! {
+        algorithm, family, n, rounds, messages("msgs"), bits_sent("bits"),
+        max_message_bits("maxmsg", "b"), congest_violations("violations"), random_bits("randbits"),
+        valid,
     };
-    for fam in [Family::GnpSparse, Family::Grid, Family::Cycle] {
+    let t = r.table("rows", ROWS);
+    let mut row = |stats: &RoundStats, family: &str, valid: Cell| {
+        t.row(cells![
+            stats.algorithm,
+            family,
+            stats.n,
+            stats.meter.rounds,
+            stats.meter.messages,
+            stats.meter.bits_sent,
+            stats.meter.max_message_bits,
+            stats.meter.congest_violations,
+            stats.meter.random_bits,
+            valid,
+        ])
+    };
+    for fam in [GnpSparse, Grid, Cycle] {
         for n in [64usize, 256, 1024] {
             let g = fam_graph(fam, n, 17 + n as u64);
             let ids = IdAssignment::sequential(g.node_count());
@@ -166,11 +246,11 @@ pub fn a1_local_algorithms() {
 
             let out = LubyMis::default().run(&g, &ids, seed);
             let valid = mis::verify_mis(&g, &out.labels).is_ok();
-            row(&out.stats, fam.name(), valid.to_string());
+            row(&out.stats, fam.name(), valid.into())?;
 
             let out = TrialColoring::default().run(&g, &ids, seed);
             let valid = coloring::verify_coloring(&g, &out.labels, g.max_degree() + 1).is_ok();
-            row(&out.stats, fam.name(), valid.to_string());
+            row(&out.stats, fam.name(), valid.into())?;
 
             // Unclustered survivors are a legitimate outcome of the partial
             // EN run (the V̄ of Theorem 4.2), not a failure — report the
@@ -178,97 +258,71 @@ pub fn a1_local_algorithms() {
             let out = ElkinNeimanDecomposition::default().run(&g, &ids, seed);
             let survivors = out.labels.iter().filter(|l| l.is_none()).count();
             let valid = if survivors == 0 {
-                "true".to_string()
+                Cell::Bool(true)
             } else {
-                format!("{survivors} survivors")
+                Cell::Str(format!("{survivors} survivors"))
             };
-            row(&out.stats, fam.name(), valid);
+            row(&out.stats, fam.name(), valid)?;
         }
     }
-    t.print();
-}
-
-/// A2 — the static audit summary (ISSUE 10): run the `locality-audit`
-/// lint engine over this workspace's own sources and fold the result into
-/// the report — files scanned, per-lint finding counts, and the
-/// suppression inventory. CI gates on the `audit` binary; this experiment
-/// id gives the same numbers a slot in `all` runs and the `bench-audit`
-/// artifact its schema (rendered by [`locality_audit::render_json`]).
-pub fn a2_audit_summary() -> locality_audit::Report {
-    let root = locality_audit::engine::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
-    locality_audit::audit_workspace(&root)
-        // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        .expect("workspace sources are readable")
-}
-
-/// Print the A2 table (the audit's own text rendering).
-pub fn print_audit_summary(report: &locality_audit::Report) {
-    println!("\n== A2: static audit — token-level workspace lint gate ==");
-    println!("panic-freedom, determinism, no-alloc and error-hygiene passes\n");
-    print!("{}", locality_audit::render_text(report));
-}
-
-/// The machine-readable A2 summary (the `BENCH_audit.json` schema).
-pub fn audit_summary_json(report: &locality_audit::Report) -> String {
-    locality_audit::render_json(report)
+    Ok(r)
 }
 
 /// T2 — Theorem 3.1: one private bit per h hops.
-pub fn t2_sparse_bits() {
-    println!("\n== T2: one private bit per h hops (Theorem 3.1) ==");
-    println!("paper claim: (O(log n), h*polylog) decomposition, h*polylog rounds\n");
-    let mut t = Table::new(&[
-        "graph", "h", "holders", "bits/n", "clusters", "colors", "weakdiam", "rounds",
-    ]);
+fn t2_sparse_bits() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("T2: one private bit per h hops (Theorem 3.1)");
+    r.note("paper claim: (O(log n), h*polylog) decomposition, h*polylog rounds");
+    const ROWS: &[Column] = &columns! {
+        graph, h, holders, bits_per_n("bits/n", "", 2), clusters, colors, weak_diameter("weakdiam"),
+        rounds,
+    };
+    let t = r.table("rows", ROWS);
     for (name, g) in [
         ("cycle2048", Graph::cycle(2048)),
         ("grid45x45", Graph::grid(45, 45)),
     ] {
         for h in [1u32, 2, 4] {
             let holders = choose_holders(&g, h);
-            let mut src = PrngSource::seeded(5 + h as u64);
-            let bits = SparseBits::place(&holders, &mut src);
+            let bits = SparseBits::place(&holders, &mut PrngSource::seeded(5 + h as u64));
             let cfg = SparsePipelineConfig::for_graph(&g, h);
             let out = sparse_randomness_decomposition(&g, &bits, &cfg);
             let (colors, wd) = match &out.decomposition {
                 Some(d) => {
-                    d.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                    validated(d, &g)?;
                     (
-                        d.color_count().to_string(),
-                        max_weak_diameter(&g, d).to_string(),
+                        Cell::from(d.color_count()),
+                        Cell::from(max_weak_diameter(&g, d)),
                     )
                 }
-                None => ("FAIL".into(), "-".into()),
+                None => (construction_failed(), construction_failed()),
             };
-            t.row_owned(vec![
-                name.into(),
-                h.to_string(),
-                holders.len().to_string(),
-                format!("{:.2}", holders.len() as f64 / g.node_count() as f64),
-                out.cluster_count.to_string(),
+            t.row(cells![
+                name,
+                h,
+                holders.len(),
+                holders.len() as f64 / g.node_count() as f64,
+                out.cluster_count,
                 colors,
                 wd,
-                out.meter.rounds.to_string(),
-            ]);
+                out.meter.rounds,
+            ])?;
         }
     }
-    t.print();
+    Ok(r)
 }
 
 /// T3 — Theorem 3.5: k-wise independent radii vs full independence.
-pub fn t3_kwise_independence() {
-    println!("\n== T3: limited independence (Theorem 3.5) ==");
-    println!("paper claim: poly(log n)-wise independence suffices; tiny k may degrade\n");
-    let g = fam_graph(Family::GnpSparse, 256, 33);
+fn t3_kwise_independence() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("T3: limited independence (Theorem 3.5)");
+    r.note("paper claim: poly(log n)-wise independence suffices; tiny k may degrade");
+    let g = fam_graph(GnpSparse, 256, 33);
     let cfg = ElkinNeimanConfig::for_graph(&g);
     let trials = 20u64;
-    let mut t = Table::new(&[
-        "k (independence)",
-        "success",
-        "avg colors",
-        "avg diam",
-        "seed bits",
-    ]);
+    const ROWS: &[Column] = &columns! {
+        k("k (independence)"), success, avg_colors("avg colors", "", 1),
+        avg_diameter("avg diam", "", 1), seed_bits("seed bits"),
+    };
+    let t = r.table("rows", ROWS);
     let log2 = g.log2_n() as usize;
     let mut ks = vec![1usize, 2, 4, 8, 16, 64, log2 * log2];
     ks.dedup();
@@ -278,94 +332,85 @@ pub fn t3_kwise_independence() {
         let mut diam = 0u64;
         for trial in 0..trials {
             let mut seed_src = PrngSource::seeded(1000 * k as u64 + trial);
-            let kw = KWiseBits::from_source(k, &mut seed_src).expect("unbounded"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+            let kw = KWiseBits::from_source(k, &mut seed_src).context("draw a k-wise seed")?;
             let out = elkin_neiman_kwise(&g, &cfg, &kw);
             if let Some(d) = out.decomposition {
-                let q = d.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                let q = validated(&d, &g)?;
                 ok += 1;
                 colors += q.colors;
                 diam += q.max_diameter as u64;
             }
         }
         let denom = ok.max(1) as f64;
-        t.row_owned(vec![
-            k.to_string(),
-            format!("{}/{}", ok, trials),
-            format!("{:.1}", colors as f64 / denom),
-            format!("{:.1}", diam as f64 / denom),
-            (61 * k).to_string(),
-        ]);
+        t.row(cells![
+            k,
+            format!("{ok}/{trials}"),
+            colors as f64 / denom,
+            diam as f64 / denom,
+            61 * k,
+        ])?;
     }
     // Full-independence control.
     let mut ok = 0;
     let mut colors = 0;
     for trial in 0..trials {
-        let mut src = PrngSource::seeded(77 + trial);
-        if let Some(d) = elkin_neiman(&g, &cfg, &mut src).decomposition {
+        if let Some(d) = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(77 + trial)).decomposition {
             ok += 1;
-            colors += d.validate(&g).unwrap().colors; // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+            colors += validated(&d, &g)?.colors;
         }
     }
-    t.row_owned(vec![
-        "full".into(),
-        format!("{}/{}", ok, trials),
-        format!("{:.1}", colors as f64 / ok.max(1) as f64),
-        "-".into(),
-        "unbounded".into(),
-    ]);
-    t.print();
+    t.row(cells![
+        "full",
+        format!("{ok}/{trials}"),
+        colors as f64 / ok.max(1) as f64,
+        Cell::Skipped("not tracked for the full-independence control".to_string()),
+        "unbounded",
+    ])?;
+    Ok(r)
 }
 
 /// T4 — Theorem 3.6: poly(log n) shared bits, CONGEST.
-pub fn t4_shared_congest() {
-    println!("\n== T4: shared randomness in CONGEST (Theorem 3.6) ==");
-    println!("paper claim: (O(log n), O(log^2 n)) decomposition from poly(log n) shared bits\n");
-    let mut t = Table::new(&[
-        "family",
-        "n",
-        "shared bits",
-        "colors",
-        "diam",
-        "bound 2(R+cap)",
-        "rounds",
-    ]);
-    for fam in [Family::GnpSparse, Family::Grid, Family::Cycle] {
+fn t4_shared_congest() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("T4: shared randomness in CONGEST (Theorem 3.6)");
+    r.note("paper claim: (O(log n), O(log^2 n)) decomposition from poly(log n) shared bits");
+    const ROWS: &[Column] = &columns! {
+        family, n, shared_bits("shared bits"), colors, max_diameter("diam"),
+        diameter_bound("bound 2(R+cap)"), rounds,
+    };
+    let t = r.table("rows", ROWS);
+    for fam in [GnpSparse, Grid, Cycle] {
         for n in [64usize, 256, 1024] {
             let g = fam_graph(fam, n, 13 + n as u64);
             let cfg = SharedDecompConfig::for_graph(&g);
-            let mut sm = SplitMix64::new(3 * n as u64);
-            let seed = SharedSeed::from_prng(cfg.seed_bits_needed(), &mut sm);
-            let out = shared_randomness_decomposition(&g, &cfg, &seed).expect("seed sized"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-            let (colors, diam) = match &out.decomposition {
-                Some(d) => {
-                    let q = d.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                    (q.colors.to_string(), q.max_diameter.to_string())
-                }
-                None => ("FAIL".into(), "-".into()),
-            };
-            t.row_owned(vec![
-                fam.name().into(),
-                n.to_string(),
-                out.shared_bits.to_string(),
+            let seed =
+                SharedSeed::from_prng(cfg.seed_bits_needed(), &mut SplitMix64::new(3 * n as u64));
+            let out = shared_randomness_decomposition(&g, &cfg, &seed).context("T4 seed")?;
+            let [colors, diam] = quality(out.decomposition.as_ref(), &g)?;
+            t.row(cells![
+                fam.name(),
+                n,
+                out.shared_bits,
                 colors,
                 diam,
-                (2 * cfg.max_cluster_radius()).to_string(),
-                out.meter.rounds.to_string(),
-            ]);
+                2 * cfg.max_cluster_radius(),
+                out.meter.rounds,
+            ])?;
         }
     }
-    t.print();
+    Ok(r)
 }
 
 /// T5 — Lemma 3.4: splitting in zero rounds, by randomness regime.
-pub fn t5_splitting() {
-    println!("\n== T5: splitting with O(log n) shared bits (Lemma 3.4) ==");
-    println!("paper claim: k-wise / eps-biased expansions of short seeds split w.h.p.\n");
+fn t5_splitting() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("T5: splitting with O(log n) shared bits (Lemma 3.4)");
+    r.note("paper claim: k-wise / eps-biased expansions of short seeds split w.h.p.");
     let trials = 200u64;
-    let mut t = Table::new(&["degree", "regime", "seed bits", "failure rate"]);
+    const ROWS: &[Column] = &columns! {
+        degree, regime, seed_bits("seed bits"), failure_rate("failure rate", "", 3),
+    };
+    let t = r.table("rows", ROWS);
     for degree in [8usize, 16, 32] {
-        let mut p = SplitMix64::new(degree as u64);
-        let h = SplittingInstance::random(300, 600, degree, &mut p);
+        let h = SplittingInstance::random(300, 600, degree, &mut SplitMix64::new(degree as u64));
         let regimes: Vec<(&str, SeedExpansion, usize)> = vec![
             ("raw seed (1b/V-node)", SeedExpansion::Raw, h.v_count()),
             ("2-wise", SeedExpansion::KWise(2), 122),
@@ -376,38 +421,33 @@ pub fn t5_splitting() {
         for (name, expansion, bits) in regimes {
             let mut failures = 0u64;
             for trial in 0..trials {
-                let mut sm = SplitMix64::new(trial * 31 + degree as u64);
-                let seed = SharedSeed::from_prng(bits.max(700), &mut sm);
-                let a = solve_shared(&h, &seed, expansion).expect("seed long enough"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                let seed = SharedSeed::from_prng(
+                    bits.max(700),
+                    &mut SplitMix64::new(trial * 31 + degree as u64),
+                );
+                let a = solve_shared(&h, &seed, expansion).context("split from the shared seed")?;
                 failures += (!a.is_success()) as u64;
             }
-            t.row_owned(vec![
-                degree.to_string(),
-                name.into(),
-                bits.to_string(),
-                format!("{:.3}", failures as f64 / trials as f64),
-            ]);
+            t.row(cells![degree, name, bits, failures as f64 / trials as f64])?;
         }
     }
-    t.print();
+    Ok(r)
 }
 
 /// T6 — Theorem 4.2: error boosting by shattering.
-pub fn t6_boosting() {
-    println!("\n== T6: error boosting by shattering (Theorem 4.2) ==");
-    println!("paper claim: survivors shatter; a deterministic finisher absorbs them;");
-    println!("overall failure needs a large separated survivor set (probability n^-K)\n");
-    let g = fam_graph(Family::GnpSparse, 300, 41);
+fn t6_boosting() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("T6: error boosting by shattering (Theorem 4.2)");
+    r.note("paper claim: survivors shatter; a deterministic finisher absorbs them;")
+        .note("overall failure needs a large separated survivor set (probability n^-K)");
+    let g = fam_graph(GnpSparse, 300, 41);
     let ids = IdAssignment::sequential(g.node_count());
     let trials = 30u64;
-    let mut t = Table::new(&[
-        "EN phases",
-        "P(survivors)",
-        "avg survivors",
-        "max K",
-        "pipeline success",
-        "avg colors",
-    ]);
+    const ROWS: &[Column] = &columns! {
+        phases("EN phases"), p_survivors("P(survivors)", "", 2),
+        avg_survivors("avg survivors", "", 1), max_k("max K"), pipeline_success("pipeline success"),
+        avg_colors("avg colors", "", 1),
+    };
+    let t = r.table("rows", ROWS);
     for phases in [1u32, 2, 3, 4, 6, 10] {
         let mut with_survivors = 0u64;
         let mut survivor_sum = 0usize;
@@ -419,8 +459,8 @@ pub fn t6_boosting() {
                 en: ElkinNeimanConfig { phases, cap: 20 },
                 t_override: None,
             };
-            let mut src = PrngSource::seeded(phases as u64 * 1000 + trial);
-            let out = boosted_decomposition(&g, &ids, &cfg, &mut src);
+            let seed = phases as u64 * 1000 + trial;
+            let out = boosted_decomposition(&g, &ids, &cfg, &mut PrngSource::seeded(seed));
             with_survivors += (out.survivor_count > 0) as u64;
             survivor_sum += out.survivor_count;
             max_k = max_k.max(out.separated_survivors);
@@ -431,22 +471,25 @@ pub fn t6_boosting() {
                 }
             }
         }
-        t.row_owned(vec![
-            phases.to_string(),
-            format!("{:.2}", with_survivors as f64 / trials as f64),
-            format!("{:.1}", survivor_sum as f64 / trials as f64),
-            max_k.to_string(),
-            format!("{}/{}", successes, trials),
-            format!("{:.1}", color_sum as f64 / successes.max(1) as f64),
-        ]);
+        t.row(cells![
+            phases,
+            with_survivors as f64 / trials as f64,
+            survivor_sum as f64 / trials as f64,
+            max_k,
+            format!("{successes}/{trials}"),
+            color_sum as f64 / successes.max(1) as f64,
+        ])?;
     }
-    t.print();
+    Ok(r)
 }
 
 /// T7 — Lemma 4.1 seed enumeration + Theorems 4.3/4.6 threshold curves.
-pub fn t7_derandomization() {
-    println!("\n== T7: brute-force derandomization (Lemma 4.1) ==");
-    println!("paper claim: error < 1/#instances => some seed works for all instances\n");
+fn t7_derandomization() -> Result<Record, ExperimentError> {
+    use locality_core::derand::lie_about_n;
+
+    let mut r = Record::new("T7: brute-force derandomization (Lemma 4.1)");
+    r.note("paper claim: error < 1/#instances => some seed works for all instances");
+    // One stream for all 16 draws, so the instances differ.
     let mut p = SplitMix64::new(51);
     let instances: Vec<SplittingInstance> = (0..16)
         .map(|_| SplittingInstance::random(8, 14, 6, &mut p))
@@ -457,251 +500,246 @@ pub fn t7_derandomization() {
             .unwrap_or(false)
     });
     let good = report.failures_per_seed.iter().filter(|&&f| f == 0).count();
-    println!("instances: {}", report.instances);
-    println!("seed space: 2^14 = {}", report.failures_per_seed.len());
-    println!("empirical error rate:  {:.4}", report.error_rate);
-    println!(
-        "seeds good for ALL instances: {} ({:.2}% of the space) -> deterministic algorithm {}",
-        good,
-        100.0 * good as f64 / report.failures_per_seed.len() as f64,
-        if report.good_seed.is_some() {
-            "EXISTS"
-        } else {
-            "not found"
-        }
-    );
+    let space = report.failures_per_seed.len();
+    const SUMMARY: &[Column] = &columns! {
+        instances, seed_space("seed space (2^14)"), error_rate("empirical error rate", "", 4),
+        good_seeds("seeds good for ALL instances"), good_seed_pct("good seeds", "% of space", 2),
+        deterministic_algorithm("deterministic algorithm exists"),
+    };
+    r.fields(
+        SUMMARY,
+        cells![
+            report.instances,
+            space,
+            report.error_rate,
+            good,
+            100.0 * good as f64 / space as f64,
+            report.good_seed.is_some(),
+        ],
+    )?;
 
-    println!("\n-- the \"lie about n\" mechanism (Thm 4.3), observed --");
-    {
-        use locality_core::derand::lie_about_n;
-        let mut p2 = SplitMix64::new(53);
-        let g = Graph::gnp_connected(80, 0.04, &mut p2);
-        let rows = lie_about_n(&g, &[80, 8_000, 800_000], 20, 99);
-        let mut lt = Table::new(&["pretended N", "failure rate", "mean rounds (=T(N))"]);
-        for r in rows {
-            lt.row_owned(vec![
-                r.pretended_n.to_string(),
-                format!("{:.2}", r.failure_rate),
-                format!("{:.0}", r.mean_rounds),
-            ]);
-        }
-        lt.print();
-        println!("(the real graph has n = 80 throughout; only the claimed size grows)");
+    let g = Graph::gnp_connected(80, 0.04, &mut SplitMix64::new(53));
+    const LIE_ABOUT_N: &[Column] = &columns! {
+        pretended_n("pretended N"), failure_rate("failure rate", "", 2),
+        mean_rounds("mean rounds (=T(N))"),
+    };
+    let lie = r.table("lie_about_n", LIE_ABOUT_N).caption(
+        "-- the \"lie about n\" mechanism (Thm 4.3), observed --\n\
+         (the real graph has n = 80 throughout; only the claimed size grows)",
+    );
+    for row in lie_about_n(&g, &[80, 8_000, 800_000], 20, 99) {
+        lie.row(cells![row.pretended_n, row.failure_rate, row.mean_rounds])?;
     }
 
-    println!("\n-- Theorem 4.3 / 4.6 derandomization thresholds (formula curves) --");
-    let mut t = Table::new(&[
-        "log2 n",
-        "PS92 log2(rounds)",
-        "Thm4.3 b=3 log2 T",
-        "Thm4.3 b=4 log2 T",
-        "Thm4.6 e=0.5: log2(-log2 err)",
-    ]);
+    const THRESHOLDS: &[Column] = &columns! {
+        log2_n("log2 n"), ps92_log2_rounds("PS92 log2(rounds)", "", 1),
+        thm43_b3_log2_t("Thm4.3 b=3 log2 T", "", 1), thm43_b4_log2_t("Thm4.3 b=4 log2 T", "", 1),
+        thm46_log2_neg_log2_err("Thm4.6 e=0.5: log2(-log2 err)", "", 1),
+    };
+    let t = r.table("thresholds", THRESHOLDS).caption(
+        "-- Theorem 4.3 / 4.6 derandomization thresholds (formula curves) --\n\
+         (larger beta => smaller log T: stronger success probabilities derandomize faster — \
+         Cor. 4.4)",
+    );
     for logn in [10u32, 16, 24, 32, 48, 64] {
         let n = 1u64 << logn.min(62);
-        t.row_owned(vec![
-            logn.to_string(),
-            format!("{:.1}", ps92_rounds(n).log2()),
-            format!("{:.1}", theorem43_log_t_of_n(n, 0.5, 3.0)),
-            format!("{:.1}", theorem43_log_t_of_n(n, 0.5, 4.0)),
-            format!("{:.1}", theorem46_thresholds(n, 0.5).0),
-        ]);
+        t.row(cells![
+            logn,
+            ps92_rounds(n).log2(),
+            theorem43_log_t_of_n(n, 0.5, 3.0),
+            theorem43_log_t_of_n(n, 0.5, 4.0),
+            theorem46_thresholds(n, 0.5).0,
+        ])?;
     }
-    t.print();
-    println!("(larger beta => smaller log T: stronger success probabilities derandomize faster — Cor. 4.4)");
+    Ok(r)
 }
 
 /// T8 — completeness: randomized Luby vs decomposition-derandomized MIS.
-pub fn t8_mis() {
-    println!("\n== T8: MIS — randomized vs decomposition-derandomized ==");
-    println!("paper context: decomposition makes MIS deterministic (P-RLOCAL engine)\n");
-    let mut t = Table::new(&[
-        "n",
-        "luby rounds",
-        "luby randbits",
-        "det rounds (carving)",
-        "det randbits",
-    ]);
+fn t8_mis() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("T8: MIS — randomized vs decomposition-derandomized");
+    r.note("paper context: decomposition makes MIS deterministic (P-RLOCAL engine)");
+    const MIS: &[Column] = &columns! {
+        n, luby_rounds("luby rounds"), luby_random_bits("luby randbits"),
+        det_rounds("det rounds (carving)"), det_random_bits("det randbits"),
+    };
+    let t = r.table("mis", MIS);
     for n in [64usize, 256, 1024] {
-        let g = fam_graph(Family::GnpSparse, n, 61 + n as u64);
+        let g = fam_graph(GnpSparse, n, 61 + n as u64);
         let luby = mis::luby(&g, &mut PrngSource::seeded(n as u64));
-        mis::verify_mis(&g, &luby.in_mis).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        mis::verify_mis(&g, &luby.in_mis).context("verify the Luby MIS")?;
         let order: Vec<usize> = (0..g.node_count()).collect();
         let carve = ball_carving_decomposition(&g, &order);
         let det = mis::via_decomposition(&g, &carve.decomposition);
-        mis::verify_mis(&g, &det.in_mis).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        t.row_owned(vec![
-            n.to_string(),
-            luby.meter.rounds.to_string(),
-            luby.meter.random_bits.to_string(),
-            det.meter.rounds.to_string(),
-            det.meter.random_bits.to_string(),
-        ]);
+        mis::verify_mis(&g, &det.in_mis).context("verify the derandomized MIS")?;
+        t.row(cells![
+            n,
+            luby.meter.rounds,
+            luby.meter.random_bits,
+            det.meter.rounds,
+            det.meter.random_bits,
+        ])?;
     }
-    t.print();
 
-    println!("\n(∆+1)-coloring, same engines:");
-    let mut t2 = Table::new(&["n", "random rounds", "random randbits", "det rounds"]);
+    const COLORING: &[Column] = &columns! {
+        n, random_rounds("random rounds"), random_random_bits("random randbits"),
+        det_rounds("det rounds"),
+    };
+    let t = r
+        .table("coloring", COLORING)
+        .caption("(∆+1)-coloring, same engines:");
     for n in [64usize, 256] {
-        let g = fam_graph(Family::GnpSparse, n, 71 + n as u64);
+        let g = fam_graph(GnpSparse, n, 71 + n as u64);
         let rc = coloring::random_coloring(&g, &mut PrngSource::seeded(n as u64));
-        coloring::verify_coloring(&g, &rc.colors, g.max_degree() + 1).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        coloring::verify_coloring(&g, &rc.colors, g.max_degree() + 1)
+            .context("verify the random coloring")?;
         let order: Vec<usize> = (0..g.node_count()).collect();
         let carve = ball_carving_decomposition(&g, &order);
         let det = coloring::via_decomposition(&g, &carve.decomposition);
-        coloring::verify_coloring(&g, &det.colors, g.max_degree() + 1).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        t2.row_owned(vec![
-            n.to_string(),
-            rc.meter.rounds.to_string(),
-            rc.meter.random_bits.to_string(),
-            det.meter.rounds.to_string(),
-        ]);
+        coloring::verify_coloring(&g, &det.colors, g.max_degree() + 1)
+            .context("verify the derandomized coloring")?;
+        t.row(cells![
+            n,
+            rc.meter.rounds,
+            rc.meter.random_bits,
+            det.meter.rounds
+        ])?;
     }
-    t2.print();
+    Ok(r)
 }
 
 /// T9 — ablations: geometric cap, deterministic alternatives, ruling-set
 /// costs, randomness budgets.
-pub fn t9_ablations() {
-    println!("\n== T9: ablations ==");
-    let g = fam_graph(Family::GnpSparse, 256, 91);
+fn t9_ablations() -> Result<Record, ExperimentError> {
+    use locality_core::decomposition::mpx::mpx_partition;
 
-    println!("\n(a) EN geometric cap (radius truncation) vs quality:");
-    let mut t = Table::new(&["cap", "success", "colors", "diam", "randbits"]);
+    let mut r = Record::new("T9: ablations");
+    let g = fam_graph(GnpSparse, 256, 91);
+
+    const CAP: &[Column] = &columns! {
+        cap, success, colors, max_diameter("diam"), random_bits("randbits"),
+    };
+    let t = r
+        .table("cap", CAP)
+        .caption("(a) EN geometric cap (radius truncation) vs quality:");
+    let phases = 10 * g.log2_n();
     for cap in [3u32, 6, 12, 24, 48] {
-        let cfg = ElkinNeimanConfig {
-            phases: 10 * g.log2_n(),
+        let cfg = ElkinNeimanConfig { phases, cap };
+        let out = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(cap as u64));
+        let [colors, diam] = quality(out.decomposition.as_ref(), &g)?;
+        t.row(cells![
             cap,
-        };
-        let mut src = PrngSource::seeded(cap as u64);
-        let out = elkin_neiman(&g, &cfg, &mut src);
-        let (s, c, d) = match &out.decomposition {
-            Some(d) => {
-                let q = d.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                (
-                    "yes".to_string(),
-                    q.colors.to_string(),
-                    q.max_diameter.to_string(),
-                )
-            }
-            None => ("no".into(), "-".into(), "-".into()),
-        };
-        t.row_owned(vec![
-            cap.to_string(),
-            s,
-            c,
-            d,
-            out.meter.random_bits.to_string(),
-        ]);
+            out.decomposition.is_some(),
+            colors,
+            diam,
+            out.meter.random_bits,
+        ])?;
     }
-    t.print();
 
-    println!("\n(a') exponential vs geometric shifts (MPX baseline, footnote 8):");
-    let mut ta = Table::new(&["algorithm", "colors", "max diam", "notes"]);
-    {
-        use locality_core::decomposition::mpx::mpx_partition;
-        use locality_graph::metrics::induced_diameter;
-        for beta in [0.5f64, 1.0] {
-            let out = mpx_partition(&g, beta, &mut SplitMix64::new(4));
-            let q = out.decomposition.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-            let _ = induced_diameter(&g, out.clustering.members(0));
-            ta.row_owned(vec![
-                format!("MPX exponential shifts (beta {beta})"),
-                q.colors.to_string(),
-                q.max_diameter.to_string(),
-                format!("cut edges {}, greedy-colored", out.cut_edges),
-            ]);
-        }
-        let cfg = ElkinNeimanConfig::for_graph(&g);
-        let en = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(4));
-        if let Some(d) = &en.decomposition {
-            let q = d.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-            ta.row_owned(vec![
-                "EN geometric shifts (phased)".into(),
-                q.colors.to_string(),
-                q.max_diameter.to_string(),
-                format!("{} explicit coin flips", en.meter.random_bits),
-            ]);
-        }
+    const SHIFTS: &[Column] = &columns! { algorithm, colors, max_diameter("max diam"), notes };
+    let t = r
+        .table("shifts", SHIFTS)
+        .caption("(a') exponential vs geometric shifts (MPX baseline, footnote 8):");
+    for beta in [0.5f64, 1.0] {
+        let out = mpx_partition(&g, beta, &mut SplitMix64::new(4));
+        let q = validated(&out.decomposition, &g)?;
+        t.row(cells![
+            format!("MPX exponential shifts (beta {beta})"),
+            q.colors,
+            q.max_diameter,
+            format!("cut edges {}, greedy-colored", out.cut_edges),
+        ])?;
     }
-    ta.print();
+    let cfg = ElkinNeimanConfig::for_graph(&g);
+    let en = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(4));
+    if let Some(d) = &en.decomposition {
+        let q = validated(d, &g)?;
+        t.row(cells![
+            "EN geometric shifts (phased)",
+            q.colors,
+            q.max_diameter,
+            format!("{} explicit coin flips", en.meter.random_bits),
+        ])?;
+    }
 
-    println!("\n(b) deterministic decompositions (no randomness at all):");
-    let mut t2 = Table::new(&["algorithm", "colors", "diam", "cost model"]);
+    const DETERMINISTIC: &[Column] = &columns! {
+        algorithm, colors, max_diameter("diam"), cost_model("cost model"),
+    };
+    let t = r
+        .table("deterministic", DETERMINISTIC)
+        .caption("(b) deterministic decompositions (no randomness at all):");
     let order: Vec<usize> = (0..g.node_count()).collect();
     let carve = ball_carving_decomposition(&g, &order);
-    let qc = carve.decomposition.validate(&g).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-    t2.row_owned(vec![
-        "ball carving (SLOCAL)".into(),
-        qc.colors.to_string(),
-        qc.max_diameter.to_string(),
+    let qc = validated(&carve.decomposition, &g)?;
+    t.row(cells![
+        "ball carving (SLOCAL)",
+        qc.colors,
+        qc.max_diameter,
         format!("{} sequential rounds", carve.sequential_rounds),
-    ]);
+    ])?;
     let small = Graph::grid(8, 8);
     let derand = derandomized_decomposition(&small, 10);
-    let qd = derand.decomposition.validate(&small).expect("valid"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-    t2.row_owned(vec![
-        "cond-expectation EN (8x8 grid)".into(),
-        qd.colors.to_string(),
-        qd.max_diameter.to_string(),
+    let qd = validated(&derand.decomposition, &small)?;
+    t.row(cells![
+        "cond-expectation EN (8x8 grid)",
+        qd.colors,
+        qd.max_diameter,
         format!("{} phases, O(n^2 cap^2) work/phase", derand.phases),
-    ]);
-    t2.print();
+    ])?;
 
-    println!("\n(c) ruling set cost scaling (alpha * bit-length rounds):");
-    let mut t3 = Table::new(&["alpha", "|S|", "beta", "rounds"]);
+    const RULING_SET: &[Column] = &columns! { alpha, set_size("|S|"), beta, rounds };
+    let t = r
+        .table("ruling_set", RULING_SET)
+        .caption("(c) ruling set cost scaling (alpha * bit-length rounds):");
     let ids = IdAssignment::sequential(g.node_count());
     let all: Vec<usize> = g.nodes().collect();
     for alpha in [2u32, 4, 8, 16] {
-        let r = ruling_set(&g, &ids, &all, RulingSetParams { alpha });
-        t3.row_owned(vec![
-            alpha.to_string(),
-            r.set.len().to_string(),
-            r.beta.to_string(),
-            r.meter.rounds.to_string(),
-        ]);
+        let rs = ruling_set(&g, &ids, &all, RulingSetParams { alpha });
+        t.row(cells![alpha, rs.set.len(), rs.beta, rs.meter.rounds])?;
     }
-    t3.print();
+    Ok(r)
 }
 
 /// T10 — extensions: sinkless orientation (§1.1 separation problem) and the
 /// general SLOCAL→LOCAL reduction of [GKM17].
-pub fn t10_extensions() {
+fn t10_extensions() -> Result<Record, ExperimentError> {
     use locality_core::sinkless::{check_sinkless, deterministic_sinkless, randomized_sinkless};
     use locality_core::slocal::run_slocal_via_decomposition;
     use locality_graph::power::power_graph;
 
-    println!("\n== T10: extensions — sinkless orientation & SLOCAL→LOCAL ==");
-    println!("\n(a) sinkless orientation (the §1.1 exponential-separation problem):");
-    let mut t = Table::new(&["n", "algorithm", "valid", "rounds", "randbits"]);
+    let mut r = Record::new("T10: extensions — sinkless orientation & SLOCAL→LOCAL");
+    const SINKLESS: &[Column] = &columns! { n, algorithm, valid, rounds, random_bits("randbits") };
+    let t = r
+        .table("sinkless", SINKLESS)
+        .caption("(a) sinkless orientation (the §1.1 exponential-separation problem):");
     for n in [64usize, 256, 1024] {
         let mut p = SplitMix64::new(n as u64);
         let g = Graph::random_regular(n, 4, &mut p);
-        let det = deterministic_sinkless(&g).expect("always succeeds"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        t.row_owned(vec![
-            n.to_string(),
-            "deterministic (cycle-rooted)".into(),
-            check_sinkless(&g, &det.orientation).accepted().to_string(),
-            det.meter.rounds.to_string(),
-            "0".into(),
-        ]);
-        let mut src = PrngSource::seeded(n as u64);
-        let rnd = randomized_sinkless(&g, &mut src, 200);
-        t.row_owned(vec![
-            n.to_string(),
-            "randomized repair".into(),
-            check_sinkless(&g, &rnd.orientation).accepted().to_string(),
-            rnd.meter.rounds.to_string(),
-            rnd.meter.random_bits.to_string(),
-        ]);
+        let det = deterministic_sinkless(&g).context("deterministic sinkless orientation")?;
+        t.row(cells![
+            n,
+            "deterministic (cycle-rooted)",
+            check_sinkless(&g, &det.orientation).accepted(),
+            det.meter.rounds,
+            0u64,
+        ])?;
+        let rnd = randomized_sinkless(&g, &mut PrngSource::seeded(n as u64), 200);
+        t.row(cells![
+            n,
+            "randomized repair",
+            check_sinkless(&g, &rnd.orientation).accepted(),
+            rnd.meter.rounds,
+            rnd.meter.random_bits,
+        ])?;
     }
-    t.print();
 
-    println!("\n(b) SLOCAL→LOCAL reduction [GKM17] (greedy MIS, locality 1):");
-    let mut t2 = Table::new(&["n", "power colors", "LOCAL rounds", "valid MIS"]);
+    const SLOCAL: &[Column] = &columns! {
+        n, power_colors("power colors"), local_rounds("LOCAL rounds"), valid_mis("valid MIS"),
+    };
+    let t = r
+        .table("slocal", SLOCAL)
+        .caption("(b) SLOCAL→LOCAL reduction [GKM17] (greedy MIS, locality 1):");
     for n in [36usize, 100, 196] {
-        let mut p = SplitMix64::new(3 + n as u64);
-        let g = Family::Grid.generate(n, &mut p);
+        let g = Family::Grid.generate(n, &mut SplitMix64::new(3 + n as u64));
         let gp = power_graph(&g, 3);
         let order: Vec<usize> = (0..gp.node_count()).collect();
         let d = ball_carving_decomposition(&gp, &order).decomposition;
@@ -711,41 +749,21 @@ pub fn t10_extensions() {
                 .into_iter()
                 .any(|u| view.output(u).copied().unwrap_or(false))
         });
-        let valid = mis::verify_mis(&g, &out.outputs).is_ok();
-        t2.row_owned(vec![
-            g.node_count().to_string(),
-            d.color_count().to_string(),
-            out.meter.rounds.to_string(),
-            valid.to_string(),
-        ]);
+        t.row(cells![
+            g.node_count(),
+            d.color_count(),
+            out.meter.rounds,
+            mis::verify_mis(&g, &out.outputs).is_ok(),
+        ])?;
     }
-    t2.print();
+    Ok(r)
 }
 
-/// One row of the D1 derandomizer-scaling experiment.
-#[derive(Debug, Clone)]
-pub struct DerandRow {
-    /// Nodes in the `G(n, 4/n)` instance.
-    pub n: usize,
-    /// Geometric truncation (cluster radius bound is `2·cap`).
-    pub cap: u32,
-    /// Phases the derandomizer used.
-    pub phases: u32,
-    /// Colors of the validated decomposition.
-    pub colors: usize,
-    /// Maximum strong cluster diameter.
-    pub max_diameter: u32,
-    /// Incremental engine wall-clock, milliseconds.
-    pub opt_ms: f64,
-    /// Reference implementation wall-clock, milliseconds (`None` = skipped).
-    pub ref_ms: Option<f64>,
-    /// How the reference number was obtained: `"full"` (complete run),
-    /// `"extrapolated"` (phase-1 fixing probed over a center prefix and
-    /// scaled — a *lower bound* on the full run), or `"skipped"`.
-    pub ref_method: &'static str,
-    /// `ref_ms / opt_ms` when the reference was measured.
-    pub speedup: Option<f64>,
-}
+/// The D1 row columns (the `BENCH_derand.json` row schema).
+const D1_ROWS: &[Column] = &columns! {
+    n, cap, phases, colors, max_diameter("diam"), opt_ms("incremental", "ms", 1),
+    ref_ms("reference", "ms"), ref_method("method"), speedup("speedup", "x"),
+};
 
 /// D1 — derandomizer scaling on `G(n, 4/n)`: the incremental
 /// conditional-expectations engine versus the retained direct
@@ -754,9 +772,14 @@ pub struct DerandRow {
 /// `time(k centers) · n/k` underestimates the full run — speedups shown are
 /// lower bounds). `huge` adds the `n = 10⁵` row (seconds of work, hundreds
 /// of MB of reach arena) that the committed `BENCH_derand.json` records.
-pub fn d1_derand_rows(huge: bool) -> Vec<DerandRow> {
-    use locality_core::decomposition::{derandomized_decomposition, ReferenceProbe};
-    use std::time::Instant;
+fn d1_derand_scaling(huge: bool) -> Result<Record, ExperimentError> {
+    use locality_core::decomposition::{reference_decomposition, ReferenceProbe};
+
+    let mut r = Record::new("D1: derandomizer scaling on G(n, 4/n) — incremental vs reference");
+    r.note("reference times marked 'extrapolated' probe phase-1 fixing over a center")
+        .note("prefix and scale linearly: they and their speedups are lower bounds on the full run")
+        .fields(&columns! { family }, cells![GNP])?;
+    let t = r.table("rows", D1_ROWS);
 
     // (n, cap, reference probe centers; 0 = full reference run)
     let mut plan: Vec<(usize, u32, usize)> =
@@ -766,159 +789,40 @@ pub fn d1_derand_rows(huge: bool) -> Vec<DerandRow> {
         // memory; radius guarantee degrades gracefully (diameter ≤ 2·cap).
         plan.push((100_000, 4, 64));
     }
-    let mut rows = Vec::new();
     for (n, cap, probe_centers) in plan {
-        let mut prng = SplitMix64::new(4 + n as u64);
-        let g = Graph::gnp(n, 4.0 / n as f64, &mut prng);
-        let t0 = Instant::now();
-        let r = derandomized_decomposition(&g, cap);
-        let opt_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let q = r.decomposition.validate(&g).expect("valid decomposition"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        let g = Graph::gnp(n, 4.0 / n as f64, &mut SplitMix64::new(4 + n as u64));
+        let (d, opt_ms) = timed(|| derandomized_decomposition(&g, cap));
+        let q = validated(&d.decomposition, &g)?;
         let (ref_ms, ref_method) = if probe_centers == 0 {
-            let t1 = Instant::now();
-            let reference = locality_core::decomposition::reference_decomposition(&g, cap);
-            assert_eq!(
-                reference.decomposition, r.decomposition,
-                "reference and incremental outputs diverged at n = {n}"
-            );
-            (Some(t1.elapsed().as_secs_f64() * 1e3), "full")
+            let (reference, ref_ms) = timed(|| reference_decomposition(&g, cap));
+            let same = reference.decomposition == d.decomposition;
+            ensure!(same, "reference and incremental diverged at n = {n}");
+            (ref_ms, "full")
         } else {
             let probe = ReferenceProbe::prepare(&g, cap, probe_centers);
-            let t1 = Instant::now();
-            std::hint::black_box(probe.fix());
-            let probed_ms = t1.elapsed().as_secs_f64() * 1e3;
-            (Some(probed_ms * probe.scale()), "extrapolated")
+            let (_, probed_ms) = timed(|| std::hint::black_box(probe.fix()));
+            (probed_ms * probe.scale(), "extrapolated")
         };
-        rows.push(DerandRow {
+        t.row(cells![
             n,
             cap,
-            phases: r.phases,
-            colors: q.colors,
-            max_diameter: q.max_diameter,
+            d.phases,
+            q.colors,
+            q.max_diameter,
             opt_ms,
             ref_ms,
             ref_method,
-            speedup: ref_ms.map(|ref_ms| ref_ms / opt_ms.max(1e-9)),
-        });
+            ref_ms / opt_ms.max(1e-9),
+        ])?;
     }
-    rows
+    Ok(r)
 }
 
-/// Print the D1 rows as a table.
-pub fn print_derand_rows(rows: &[DerandRow]) {
-    println!("\n== D1: derandomizer scaling on G(n, 4/n) — incremental vs reference ==");
-    println!("reference times marked 'extrapolated' probe phase-1 fixing over a center");
-    println!("prefix and scale linearly: they are lower bounds on the full run\n");
-    let mut t = Table::new(&[
-        "n",
-        "cap",
-        "phases",
-        "colors",
-        "diam",
-        "incremental (ms)",
-        "reference (ms)",
-        "method",
-        "speedup",
-    ]);
-    for r in rows {
-        t.row_owned(vec![
-            r.n.to_string(),
-            r.cap.to_string(),
-            r.phases.to_string(),
-            r.colors.to_string(),
-            r.max_diameter.to_string(),
-            format!("{:.1}", r.opt_ms),
-            r.ref_ms.map_or("-".into(), |m| format!("{m:.0}")),
-            r.ref_method.into(),
-            r.speedup.map_or("-".into(), |s| {
-                // Extrapolated baselines are lower bounds; full runs are
-                // plain measurements.
-                if r.ref_method == "extrapolated" {
-                    format!(">= {s:.0}x")
-                } else {
-                    format!("{s:.0}x")
-                }
-            }),
-        ]);
-    }
-    t.print();
-}
-
-/// Machine-readable form of the D1 rows (the `BENCH_derand.json` schema and
-/// the CI perf artifact).
-pub fn derand_rows_json(rows: &[DerandRow]) -> String {
-    use crate::json::Json;
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    Json::object(vec![
-        ("experiment", Json::Str("d1-derand-scaling".into())),
-        ("family", Json::Str("gnp(n, 4/n)".into())),
-        ("unix_seconds", Json::Int(unix_seconds as i64)),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("n", Json::Int(r.n as i64)),
-                            ("cap", Json::Int(i64::from(r.cap))),
-                            ("phases", Json::Int(i64::from(r.phases))),
-                            ("colors", Json::Int(r.colors as i64)),
-                            ("max_diameter", Json::Int(i64::from(r.max_diameter))),
-                            ("opt_ms", Json::Float(r.opt_ms)),
-                            (
-                                "ref_ms",
-                                Json::float_or_skipped(
-                                    r.ref_ms,
-                                    "reference decomposition too slow at this n",
-                                ),
-                            ),
-                            ("ref_method", Json::Str(r.ref_method.into())),
-                            (
-                                "speedup",
-                                Json::float_or_skipped(r.speedup, "no reference measurement"),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_pretty()
-}
-
-/// One cell of the D2 producer matrix: one decomposition construction at
-/// one scale.
-#[derive(Debug, Clone)]
-pub struct ProducerRow {
-    /// Nodes in the `G(n, 4/n)` instance.
-    pub n: usize,
-    /// Which producer ran: `"deterministic"` (the incremental
-    /// conditional-expectations engine), `"mpx"` (exponential shifts +
-    /// greedy cluster-graph coloring), or `"elkin-neiman"` (the phase-based
-    /// CONGEST construction, simulated).
-    pub producer: &'static str,
-    /// Radius truncation of the deterministic producer (`0` where the
-    /// producer takes no cap — MPX and EN derive their radii internally).
-    pub cap: u32,
-    /// Producer wall-clock, milliseconds (`None` = cell skipped or the
-    /// construction failed; see `note`).
-    pub time_ms: Option<f64>,
-    /// Colors of the validated decomposition.
-    pub colors: Option<usize>,
-    /// Certified *upper* bound on the maximum strong cluster diameter
-    /// (exact — equal to `max_diameter_lower` — whenever every cluster fits
-    /// the exact-scan limit; the randomized producers' giant clusters get
-    /// double-sweep bounds instead, see `Decomposition::validate_bounded`).
-    pub max_diameter: Option<u32>,
-    /// Certified lower bound on the maximum strong cluster diameter.
-    pub max_diameter_lower: Option<u32>,
-    /// Cluster count.
-    pub clusters: Option<usize>,
-    /// `"ok"`, or why the cell is empty.
-    pub note: &'static str,
-}
+/// The D2 row columns (the `BENCH_producers.json` row schema).
+const D2_ROWS: &[Column] = &columns! {
+    n, producer, cap, time_ms("time", "ms", 1), colors, max_diameter("diam"),
+    max_diameter_lower("diam lo"), diameter_exact("exact"), clusters, note,
+};
 
 /// D2 — the producer matrix on `G(n, 4/n)`: the deterministic incremental
 /// engine versus the two randomized tiers now served by `Strategy::Auto`
@@ -930,11 +834,9 @@ pub struct ProducerRow {
 /// `n = 2 × 10⁴` where the per-phase sweeps dominate the matrix. `huge`
 /// adds `n = 10⁶` and the first `n = 10⁷` decomposition rows that the
 /// committed `BENCH_producers.json` records.
-pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
+fn d2_producer_matrix(huge: bool) -> Result<Record, ExperimentError> {
     use locality_core::decomposition::mpx::mpx_partition;
-    use locality_core::decomposition::{elkin_neiman, ElkinNeimanConfig};
-    use locality_rand::source::PrngSource;
-    use std::time::Instant;
+    use locality_core::decomposition::DecompQualityBounds as Bounds;
 
     // The serving layer's Auto randomized tier rate (serve::session).
     const BETA: f64 = 0.4;
@@ -948,6 +850,17 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
     // largest MPX cluster (224 340 nodes) still takes 134 s exactly.
     const EXACT_DIAMETER_LIMIT: usize = 10_000;
 
+    let mut r = Record::new("D2: producer matrix on G(n, 4/n) — deterministic vs randomized tiers");
+    r.note("every produced decomposition is validated; mpx runs at the serving layer's")
+        .note("beta = 0.4; elkin-neiman is a simulated CONGEST algorithm and is skipped")
+        .note("at large n; diam and diam lo are a certified bound pair, equal (exact) unless")
+        .note("the clusters are too large for the exact diameter")
+        .fields(
+            &columns! { family, mpx_beta("mpx beta", "", 1) },
+            cells![GNP, BETA],
+        )?;
+    let t = r.table("rows", D2_ROWS);
+
     // Caps shrink with n (the ball arena is `n · |B(cap−1)|` and `G(n,4/n)`
     // balls grow ~4^r): the guarantee degrades gracefully (diameter ≤ 2·cap)
     // and the smoke tier stays CI-sized.
@@ -956,225 +869,65 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
         plan.push((1_000_000, 3));
         plan.push((10_000_000, 3));
     }
-    let mut rows = Vec::new();
     for (n, cap) in plan {
-        let mut prng = SplitMix64::new(4 + n as u64);
-        let g = Graph::gnp(n, 4.0 / n as f64, &mut prng);
+        let g = Graph::gnp(n, 4.0 / n as f64, &mut SplitMix64::new(4 + n as u64));
+        // A cap of 0 marks the producers that take none (MPX and EN derive
+        // their radii internally).
+        let mut row = |producer: &str, cap: u32, measured: Result<(Bounds, f64), &str>| {
+            let (note, exact, [ms, colors, hi, lo, clusters]): (_, _, [Cell; 5]) = match measured {
+                Ok((q, ms)) => (
+                    "ok",
+                    q.max_diameter_upper == q.max_diameter_lower,
+                    [
+                        ms.into(),
+                        q.colors.into(),
+                        q.max_diameter_upper.into(),
+                        q.max_diameter_lower.into(),
+                        q.clusters.into(),
+                    ],
+                ),
+                Err(note) => (
+                    note,
+                    false,
+                    std::array::from_fn(|_| Cell::Skipped(note.into())),
+                ),
+            };
+            t.row(cells![
+                n, producer, cap, ms, colors, hi, lo, exact, clusters, note
+            ])
+        };
+        let bounds = |d: &Decomposition| d.validate_bounded(&g, EXACT_DIAMETER_LIMIT);
 
-        let t0 = Instant::now();
-        let det = derandomized_decomposition(&g, cap);
-        let det_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let q = det
-            .decomposition
-            .validate_bounded(&g, EXACT_DIAMETER_LIMIT)
-            .expect("valid deterministic decomposition"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        rows.push(ProducerRow {
-            n,
-            producer: "deterministic",
-            cap,
-            time_ms: Some(det_ms),
-            colors: Some(q.colors),
-            max_diameter: Some(q.max_diameter_upper),
-            max_diameter_lower: Some(q.max_diameter_lower),
-            clusters: Some(q.clusters),
-            note: "ok",
-        });
+        let (det, ms) = timed(|| derandomized_decomposition(&g, cap));
+        let q = bounds(&det.decomposition).context("validate the deterministic producer")?;
+        row("deterministic", cap, Ok((q, ms)))?;
 
-        let t1 = Instant::now();
-        let mpx = mpx_partition(&g, BETA, &mut SplitMix64::new(7 + n as u64));
-        let mpx_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let q = mpx
-            .decomposition
-            .validate_bounded(&g, EXACT_DIAMETER_LIMIT)
-            .expect("valid MPX decomposition"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        rows.push(ProducerRow {
-            n,
-            producer: "mpx",
-            cap: 0,
-            time_ms: Some(mpx_ms),
-            colors: Some(q.colors),
-            max_diameter: Some(q.max_diameter_upper),
-            max_diameter_lower: Some(q.max_diameter_lower),
-            clusters: Some(q.clusters),
-            note: "ok",
-        });
+        let (mpx, ms) = timed(|| mpx_partition(&g, BETA, &mut SplitMix64::new(7 + n as u64)));
+        let q = bounds(&mpx.decomposition).context("validate MPX")?;
+        row("mpx", 0, Ok((q, ms)))?;
 
-        if n <= EN_MAX_N {
-            let cfg = ElkinNeimanConfig::for_graph(&g);
-            let t2 = Instant::now();
-            let out = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(7 + n as u64));
-            let en_ms = t2.elapsed().as_secs_f64() * 1e3;
-            match out.decomposition {
-                Some(d) => {
-                    let q = d
-                        .validate_bounded(&g, EXACT_DIAMETER_LIMIT)
-                        .expect("valid EN decomposition"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                    rows.push(ProducerRow {
-                        n,
-                        producer: "elkin-neiman",
-                        cap: 0,
-                        time_ms: Some(en_ms),
-                        colors: Some(q.colors),
-                        max_diameter: Some(q.max_diameter_upper),
-                        max_diameter_lower: Some(q.max_diameter_lower),
-                        clusters: Some(q.clusters),
-                        note: "ok",
-                    });
-                }
-                None => rows.push(ProducerRow {
-                    n,
-                    producer: "elkin-neiman",
-                    cap: 0,
-                    time_ms: None,
-                    colors: None,
-                    max_diameter: None,
-                    max_diameter_lower: None,
-                    clusters: None,
-                    note: "construction failed (nodes survived the phase budget)",
-                }),
-            }
+        let en = if n > EN_MAX_N {
+            Err("CONGEST-simulation producer skipped at this n")
         } else {
-            rows.push(ProducerRow {
-                n,
-                producer: "elkin-neiman",
-                cap: 0,
-                time_ms: None,
-                colors: None,
-                max_diameter: None,
-                max_diameter_lower: None,
-                clusters: None,
-                note: "CONGEST-simulation producer skipped at this n",
-            });
-        }
+            let cfg = ElkinNeimanConfig::for_graph(&g);
+            let (out, ms) = timed(|| elkin_neiman(&g, &cfg, &mut PrngSource::seeded(7 + n as u64)));
+            match &out.decomposition {
+                Some(d) => Ok((bounds(d).context("validate EN")?, ms)),
+                None => Err("construction failed (nodes survived the phase budget)"),
+            }
+        };
+        row("elkin-neiman", 0, en)?;
     }
-    rows
+    Ok(r)
 }
 
-/// Print the D2 rows as a table.
-pub fn print_producer_rows(rows: &[ProducerRow]) {
-    println!("\n== D2: producer matrix on G(n, 4/n) — deterministic vs randomized tiers ==");
-    println!("every produced decomposition is validated; mpx runs at the serving layer's");
-    println!("beta = 0.4; elkin-neiman is a simulated CONGEST algorithm and is skipped");
-    println!("at large n; a diam cell `a..b` is a certified bound pair (clusters too");
-    println!("large for the exact diameter)\n");
-    let mut t = Table::new(&[
-        "n",
-        "producer",
-        "cap",
-        "time (ms)",
-        "colors",
-        "diam",
-        "clusters",
-        "note",
-    ]);
-    for r in rows {
-        t.row_owned(vec![
-            r.n.to_string(),
-            r.producer.into(),
-            if r.cap == 0 {
-                "-".into()
-            } else {
-                r.cap.to_string()
-            },
-            r.time_ms.map_or("-".into(), |m| format!("{m:.1}")),
-            r.colors.map_or("-".into(), |c| c.to_string()),
-            match (r.max_diameter_lower, r.max_diameter) {
-                (Some(lo), Some(hi)) if lo == hi => hi.to_string(),
-                (Some(lo), Some(hi)) => format!("{lo}..{hi}"),
-                _ => "-".into(),
-            },
-            r.clusters.map_or("-".into(), |c| c.to_string()),
-            r.note.into(),
-        ]);
-    }
-    t.print();
-}
-
-/// Machine-readable form of the D2 rows (the `BENCH_producers.json` schema
-/// and the CI perf artifact).
-pub fn producer_rows_json(rows: &[ProducerRow]) -> String {
-    use crate::json::Json;
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    Json::object(vec![
-        ("experiment", Json::Str("d2-producer-matrix".into())),
-        ("family", Json::Str("gnp(n, 4/n)".into())),
-        ("mpx_beta", Json::Float(0.4)),
-        ("unix_seconds", Json::Int(unix_seconds as i64)),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("n", Json::Int(r.n as i64)),
-                            ("producer", Json::Str(r.producer.into())),
-                            ("cap", Json::Int(i64::from(r.cap))),
-                            ("time_ms", Json::float_or_skipped(r.time_ms, r.note)),
-                            (
-                                "colors",
-                                Json::int_or_skipped(r.colors.map(|c| c as i64), r.note),
-                            ),
-                            (
-                                "max_diameter",
-                                Json::int_or_skipped(r.max_diameter.map(i64::from), r.note),
-                            ),
-                            (
-                                "max_diameter_lower",
-                                Json::int_or_skipped(r.max_diameter_lower.map(i64::from), r.note),
-                            ),
-                            (
-                                "diameter_exact",
-                                Json::Bool(
-                                    r.max_diameter.is_some()
-                                        && r.max_diameter == r.max_diameter_lower,
-                                ),
-                            ),
-                            (
-                                "clusters",
-                                Json::int_or_skipped(r.clusters.map(|c| c as i64), r.note),
-                            ),
-                            ("note", Json::Str(r.note.into())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_pretty()
-}
-
-/// One row of the P1 pipeline-scaling experiment.
-#[derive(Debug, Clone)]
-pub struct PipelineRow {
-    /// Nodes in the `G(n, 4/n)` instance (and ≈ the grid instance).
-    pub n: usize,
-    /// Geometric truncation of the derandomized producer.
-    pub cap: u32,
-    /// Producer wall-clock (derandomized decomposition of `G`), ms.
-    pub decomp_ms: f64,
-    /// Colors of the produced decomposition.
-    pub colors: usize,
-    /// Fast deterministic-MIS consumer wall-clock, ms (validation included).
-    pub mis_ms: f64,
-    /// Fast deterministic-coloring consumer wall-clock, ms.
-    pub coloring_ms: f64,
-    /// Side length of the grid the reduction stage runs on (`s×s ≈ n`
-    /// nodes); `None` = reduction skipped for this row.
-    pub grid_side: Option<usize>,
-    /// Fast SLOCAL→LOCAL reduction wall-clock (power graph + greedy-MIS
-    /// reduction over a carving decomposition of `grid³`), ms.
-    pub reduction_ms: Option<f64>,
-    /// Sum of the fast consumer columns, ms.
-    pub consumers_ms: f64,
-    /// Retained reference consumers end-to-end (same scope), ms.
-    pub ref_consumers_ms: Option<f64>,
-    /// `"full"` (complete reference run) or `"skipped"`.
-    pub ref_method: &'static str,
-    /// `ref_consumers_ms / consumers_ms` when measured.
-    pub speedup: Option<f64>,
-}
+/// The P1 row columns (the `BENCH_pipeline.json` row schema).
+const P1_ROWS: &[Column] = &columns! {
+    n, cap, decomp_ms("decomp", "ms", 1), colors, mis_ms("mis", "ms", 2),
+    coloring_ms("coloring", "ms", 2), grid_side("grid side"), reduction_ms("reduction", "ms", 1),
+    consumers_ms("consumers", "ms", 1), ref_consumers_ms("reference", "ms"), ref_method("method"),
+    speedup("speedup", "x"),
+};
 
 /// P1 — the "decomposition ⇒ everything" pipeline at scale: the
 /// derandomized producer on `G(n, 4/n)` followed by the deterministic MIS
@@ -1198,20 +951,29 @@ pub struct PipelineRow {
 /// skipped: its *producer* — sequential ball carving over the materialized
 /// `grid³` — is itself `O(n)` per carved ball, a pre-existing scaling item
 /// outside this consumer pipeline).
-pub fn p1_pipeline_rows(huge: bool) -> Vec<PipelineRow> {
+fn p1_pipeline_scaling(huge: bool) -> Result<Record, ExperimentError> {
     use locality_core::slocal::{
         reference_run_slocal_via_decomposition, run_slocal_via_decomposition,
     };
     use locality_graph::power::power_graph;
     use locality_sim::slocal::BallView;
-    use std::time::Instant;
 
-    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    const NO_REDUCTION: &str = "reduction stage skipped at this n";
+
     let greedy = |view: &BallView<'_, bool>| {
         !view
             .neighbors(view.center())
             .any(|u| view.output(u).copied().unwrap_or(false))
     };
+
+    let mut r = Record::new("P1: decomposition => everything, end to end");
+    r.note("MIS + (D+1)-coloring consume the derandomized decomposition of G(n, 4/n);")
+        .note("the SLOCAL->LOCAL reduction runs greedy MIS over a carving decomposition of")
+        .note("grid^3 on an s x s ~ n grid (expanders make the exact per-color weak-diameter")
+        .note("bill a graph-diameter computation both paths pay — see the docs).")
+        .note("reference = the retained quadratic consumer path, same scope")
+        .fields(&columns! { family }, cells![GNP])?;
+    let t = r.table("rows", P1_ROWS);
 
     // (n, cap, run the reference consumers, grid side for the reduction)
     let mut plan: Vec<(usize, u32, bool, Option<usize>)> = vec![
@@ -1224,25 +986,16 @@ pub fn p1_pipeline_rows(huge: bool) -> Vec<PipelineRow> {
         plan.push((1_000_000, 3, false, None));
     }
 
-    let mut rows = Vec::new();
     for (n, cap, reference, grid_side) in plan {
-        let mut prng = SplitMix64::new(4 + n as u64);
-        let g = Graph::gnp(n, 4.0 / n as f64, &mut prng);
+        let g = Graph::gnp(n, 4.0 / n as f64, &mut SplitMix64::new(4 + n as u64));
 
-        let t0 = Instant::now();
-        let produced = derandomized_decomposition(&g, cap);
-        let decomp_ms = ms(t0);
+        let (produced, decomp_ms) = timed(|| derandomized_decomposition(&g, cap));
         let d = &produced.decomposition;
-
-        let t1 = Instant::now();
-        let m = mis::via_decomposition(&g, d);
-        let mis_ms = ms(t1);
-        mis::verify_mis(&g, &m.in_mis).expect("valid MIS"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-
-        let t2 = Instant::now();
-        let c = coloring::via_decomposition(&g, d);
-        let coloring_ms = ms(t2);
-        coloring::verify_coloring(&g, &c.colors, g.max_degree() + 1).expect("valid coloring"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        let (m, mis_ms) = timed(|| mis::via_decomposition(&g, d));
+        mis::verify_mis(&g, &m.in_mis).context("verify the P1 MIS")?;
+        let (c, coloring_ms) = timed(|| coloring::via_decomposition(&g, d));
+        let palette = g.max_degree() + 1;
+        coloring::verify_coloring(&g, &c.colors, palette).context("verify the P1 coloring")?;
 
         // The general reduction on the grid instance: decompose grid³ (ball
         // carving — shared by both sides, so its cost is excluded), then run
@@ -1251,197 +1004,75 @@ pub fn p1_pipeline_rows(huge: bool) -> Vec<PipelineRow> {
         let mut ref_reduction_ms = 0.0;
         if let Some(s) = grid_side {
             let grid = Graph::grid(s, s);
-            let t3 = Instant::now();
-            let g3 = power_graph(&grid, 3);
-            let power_ms = ms(t3);
+            let (g3, power_ms) = timed(|| power_graph(&grid, 3));
             let order: Vec<usize> = (0..g3.node_count()).collect();
             let d3 = ball_carving_decomposition(&g3, &order).decomposition;
-            let t4 = Instant::now();
-            let red = run_slocal_via_decomposition(&grid, 1, &d3, greedy);
-            reduction_ms = Some(power_ms + ms(t4));
-            mis::verify_mis(&grid, &red.outputs).expect("valid reduction MIS"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+            let (red, red_ms) = timed(|| run_slocal_via_decomposition(&grid, 1, &d3, greedy));
+            reduction_ms = Some(power_ms + red_ms);
+            mis::verify_mis(&grid, &red.outputs).context("verify the reduction MIS")?;
             if reference {
                 // The reference reduction materializes grid³ itself (the
                 // quadratic way) and validates against it, so one timed call
                 // covers the whole retained path.
-                let t5 = Instant::now();
-                let red_ref = reference_run_slocal_via_decomposition(&grid, 1, &d3, greedy);
-                ref_reduction_ms = ms(t5);
-                assert_eq!(
-                    red_ref.outputs, red.outputs,
-                    "reduction diverged at s = {s}"
-                );
+                let (red_ref, ms) =
+                    timed(|| reference_run_slocal_via_decomposition(&grid, 1, &d3, greedy));
+                ref_reduction_ms = ms;
+                let same = red_ref.outputs == red.outputs;
+                ensure!(same, "reduction diverged at s = {s}");
             }
         }
 
         let consumers_ms = mis_ms + coloring_ms + reduction_ms.unwrap_or(0.0);
         let (ref_consumers_ms, ref_method) = if reference {
-            let t6 = Instant::now();
-            let m_ref = mis::reference_via_decomposition(&g, d);
-            let c_ref = coloring::reference_via_decomposition(&g, d);
-            let ref_direct_ms = ms(t6);
-            assert_eq!(m_ref.in_mis, m.in_mis, "MIS diverged at n = {n}");
-            assert_eq!(c_ref.colors, c.colors, "coloring diverged at n = {n}");
+            let ((m_ref, c_ref), ref_direct_ms) = timed(|| {
+                let m_ref = mis::reference_via_decomposition(&g, d);
+                (m_ref, coloring::reference_via_decomposition(&g, d))
+            });
+            ensure!(m_ref.in_mis == m.in_mis, "MIS diverged at n = {n}");
+            ensure!(c_ref.colors == c.colors, "coloring diverged at n = {n}");
             (Some(ref_direct_ms + ref_reduction_ms), "full")
         } else {
             (None, "skipped")
         };
 
-        rows.push(PipelineRow {
+        t.row(cells![
             n,
             cap,
             decomp_ms,
-            colors: d.color_count(),
+            d.color_count(),
             mis_ms,
             coloring_ms,
-            grid_side,
-            reduction_ms,
+            Cell::or_skipped(grid_side, NO_REDUCTION),
+            Cell::or_skipped(reduction_ms, NO_REDUCTION),
             consumers_ms,
-            ref_consumers_ms,
+            Cell::or_skipped(ref_consumers_ms, "reference consumers too slow at this n"),
             ref_method,
-            speedup: ref_consumers_ms.map(|r| r / consumers_ms.max(1e-9)),
-        });
-    }
-    rows
-}
-
-/// Print the P1 rows as a table.
-pub fn print_pipeline_rows(rows: &[PipelineRow]) {
-    println!("\n== P1: decomposition => everything, end to end ==");
-    println!("MIS + (D+1)-coloring consume the derandomized decomposition of G(n, 4/n);");
-    println!("the SLOCAL->LOCAL reduction runs greedy MIS over a carving decomposition of");
-    println!("grid^3 on an s x s ~ n grid (expanders make the exact per-color weak-diameter");
-    println!("bill a graph-diameter computation both paths pay — see the docs).");
-    println!("reference = the retained quadratic consumer path, same scope\n");
-    let mut t = Table::new(&[
-        "n",
-        "cap",
-        "decomp (ms)",
-        "colors",
-        "mis (ms)",
-        "coloring (ms)",
-        "grid",
-        "reduction (ms)",
-        "consumers (ms)",
-        "reference (ms)",
-        "speedup",
-    ]);
-    for r in rows {
-        t.row_owned(vec![
-            r.n.to_string(),
-            r.cap.to_string(),
-            format!("{:.1}", r.decomp_ms),
-            r.colors.to_string(),
-            format!("{:.2}", r.mis_ms),
-            format!("{:.2}", r.coloring_ms),
-            r.grid_side.map_or("-".into(), |s| format!("{s}x{s}")),
-            r.reduction_ms.map_or("-".into(), |m| format!("{m:.1}")),
-            format!("{:.1}", r.consumers_ms),
-            r.ref_consumers_ms.map_or("-".into(), |m| format!("{m:.0}")),
-            r.speedup.map_or("-".into(), |s| format!("{s:.0}x")),
-        ]);
-    }
-    t.print();
-}
-
-/// Machine-readable form of the P1 rows (the `BENCH_pipeline.json` schema
-/// and the CI perf artifact).
-pub fn pipeline_rows_json(rows: &[PipelineRow]) -> String {
-    use crate::json::Json;
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    Json::object(vec![
-        ("experiment", Json::Str("p1-pipeline-scaling".into())),
-        ("family", Json::Str("gnp(n, 4/n)".into())),
-        ("unix_seconds", Json::Int(unix_seconds as i64)),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("n", Json::Int(r.n as i64)),
-                            ("cap", Json::Int(i64::from(r.cap))),
-                            ("decomp_ms", Json::Float(r.decomp_ms)),
-                            ("colors", Json::Int(r.colors as i64)),
-                            ("mis_ms", Json::Float(r.mis_ms)),
-                            ("coloring_ms", Json::Float(r.coloring_ms)),
-                            (
-                                "grid_side",
-                                Json::int_or_skipped(
-                                    r.grid_side.map(|s| s as i64),
-                                    "reduction stage skipped at this n",
-                                ),
-                            ),
-                            (
-                                "reduction_ms",
-                                Json::float_or_skipped(
-                                    r.reduction_ms,
-                                    "reduction stage skipped at this n",
-                                ),
-                            ),
-                            ("consumers_ms", Json::Float(r.consumers_ms)),
-                            (
-                                "ref_consumers_ms",
-                                Json::float_or_skipped(
-                                    r.ref_consumers_ms,
-                                    "reference consumers too slow at this n",
-                                ),
-                            ),
-                            ("ref_method", Json::Str(r.ref_method.into())),
-                            (
-                                "speedup",
-                                Json::float_or_skipped(r.speedup, "no reference measurement"),
-                            ),
-                        ])
-                    })
-                    .collect(),
+            Cell::or_skipped(
+                ref_consumers_ms.map(|r| r / consumers_ms.max(1e-9)),
+                "no reference measurement",
             ),
-        ),
-    ])
-    .to_pretty()
+        ])?;
+    }
+    Ok(r)
 }
 
-/// Summary of the S1 serving-workload experiment: one [`Session`] replaying
-/// a 1000-request mixed workload, with the cache-hit breakdown.
-#[derive(Debug, Clone)]
-pub struct ServeSummary {
-    /// Nodes in the pinned `G(n, 4/n)` graph.
-    pub n: usize,
-    /// Requests per replay (the workload is replayed twice: a cold pass
-    /// and a warm pass, each of this many requests).
-    pub requests: usize,
-    /// Distinct requests in the pool (everything else is a cache hit).
-    pub distinct: usize,
-    /// Wall-clock of the first replay (cold caches), milliseconds.
-    pub total_ms: f64,
-    /// Wall-clock of the second replay (all warm), milliseconds.
-    pub warm_ms: f64,
-    /// `requests / total_ms` throughput of the cold pass, per second.
-    pub requests_per_sec: f64,
-    /// `requests / warm_ms` throughput of the warm pass, per second.
-    pub warm_requests_per_sec: f64,
-    /// The session's cache-hit breakdown after both replays (so
-    /// `stats.requests == 2 * requests`).
-    pub stats: locality_core::serve::SessionStats,
-}
-
-/// S1 — the serving façade under a mixed workload: one [`Session`] pins a
-/// `G(n, 4/n)` graph and answers 1000 requests drawn from a pool mixing all
-/// five request kinds (decompose ×2 methods, MIS via-decomposition / direct
-/// across seeds and thread budgets, coloring likewise, three SLOCAL tasks
-/// through the reduction, and verifications of valid and corrupted
-/// artifacts). The point the numbers make: the whole mix costs **two**
-/// decomposition builds and **two** reduction plans, everything else is
-/// served from cache — where the free functions would recompute per call.
-pub fn s1_serve_summary() -> ServeSummary {
+/// S1 — the serving façade under a mixed workload: one
+/// [`Session`](locality_core::serve::Session) pins a `G(n, 4/n)` graph and
+/// answers 1000 requests drawn from a pool mixing all five request kinds
+/// (decompose ×2 methods, MIS via-decomposition / direct across seeds and
+/// thread budgets, coloring likewise, three SLOCAL tasks through the
+/// reduction, and verifications of valid and corrupted artifacts). The
+/// point the numbers make: the whole mix costs **two** decomposition builds
+/// and **two** reduction plans, everything else is served from cache —
+/// where the free functions would recompute per call. The record also
+/// carries the solver registry (the enumerable capability table behind
+/// `Strategy::Auto`).
+fn s1_serve_workload() -> Result<Record, ExperimentError> {
     use locality_core::serve::{
-        ColoringOptions, DecompMethod, DecomposeOptions, MisOptions, Request, Session, SlocalTask,
-        Strategy,
+        registry, ColoringOptions, DecompMethod, DecomposeOptions, MetricsSnapshot, MisOptions,
+        Request, Session, SlocalTask, Strategy,
     };
     use locality_rand::prng::Prng;
-    use std::time::Instant;
 
     let n = 8192usize;
     let mut prng = SplitMix64::new(71);
@@ -1494,171 +1125,110 @@ pub fn s1_serve_summary() -> ServeSummary {
         .map(|_| &pool[prng.next_u64() as usize % pool.len()])
         .collect();
 
+    let mut r = Record::new("S1: serving facade — 1000-request mixed workload, one session");
+    r.note(format!(
+        "pool of {} distinct requests over G({n}, 4/n); repeats hit the cache",
+        pool.len()
+    ));
+    const PASSES: &[Column] = &columns! {
+        pass, requests, elapsed_ms("elapsed", "ms", 1), requests_per_sec("requests/s"),
+    };
+    let t = r.table("passes", PASSES);
+    let per_sec = |ms: f64| requests as f64 / (ms / 1e3).max(1e-9);
     let mut session = Session::new(g);
-    let t0 = Instant::now();
-    for r in &workload {
-        session.solve(r).expect("workload request"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+    let mut pass_ms = [0.0; 2];
+    for (pass, ms) in ["cold (first replay)", "warm (second replay)"]
+        .into_iter()
+        .zip(&mut pass_ms)
+    {
+        let (served, elapsed) = timed(|| {
+            workload
+                .iter()
+                .try_for_each(|req| session.solve(req).map(drop))
+        });
+        served.context(pass)?;
+        *ms = elapsed;
+        t.row(cells![pass, requests, elapsed, per_sec(elapsed)])?;
     }
-    let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    for r in &workload {
-        session.solve(r).expect("warm request"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+    let [total_ms, warm_ms] = pass_ms;
+    // After both replays, so `st.requests == 2 * requests`.
+    let st = session.stats();
+    const CACHE: &[Column] = &columns! {
+        requests, response_hits("response cache hits"), solver_runs("solver runs"),
+        decompositions_built("decompositions built"), decomposition_hits("decomposition cache hits"),
+        power_plans_built("reduction plans built"), power_plan_hits("reduction plan cache hits"),
+    };
+    let counts = [
+        st.requests,
+        st.response_hits,
+        st.solver_runs,
+        st.decompositions_built,
+        st.decomposition_hits,
+        st.power_plans_built,
+        st.power_plan_hits,
+    ];
+    let cache = CACHE.iter().zip(counts);
+    const SUMMARY: &[Column] = &columns! {
+        family, n, requests("requests per pass"), distinct_requests("distinct requests"),
+        total_ms("cold pass", "ms", 1), warm_ms("warm pass", "ms", 1),
+        requests_per_sec("cold requests/s"), warm_requests_per_sec("warm requests/s"), cache,
+        metrics,
+    };
+    let cache_json = cache
+        .clone()
+        .map(|(c, v)| (c.key.to_string(), Json::Int(v as i64)));
+    r.fields(
+        SUMMARY,
+        cells![
+            GNP,
+            n,
+            requests,
+            pool.len(),
+            total_ms,
+            warm_ms,
+            per_sec(total_ms),
+            per_sec(warm_ms),
+            Json::Object(cache_json.collect()),
+            MetricsSnapshot::from_stats([st]).to_json_value(),
+        ],
+    )?;
+
+    const COUNTERS: &[Column] = &columns! { counter, value };
+    let t = r
+        .table("cache_counters", COUNTERS)
+        .caption("cache-hit breakdown:");
+    for (c, v) in cache {
+        t.row(cells![c.header, v])?;
     }
-    let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-    ServeSummary {
-        n,
-        requests,
-        distinct: pool.len(),
-        total_ms,
-        warm_ms,
-        requests_per_sec: requests as f64 / (total_ms / 1e3).max(1e-9),
-        warm_requests_per_sec: requests as f64 / (warm_ms / 1e3).max(1e-9),
-        stats: session.stats(),
-    }
-}
-
-/// Print the S1 summary, the cache-hit breakdown, and the solver registry
-/// (the enumerable capability table behind `Strategy::Auto`).
-pub fn print_serve_summary(s: &ServeSummary) {
-    use locality_core::serve::registry;
-
-    println!("\n== S1: serving facade — 1000-request mixed workload, one session ==");
-    println!(
-        "pool of {} distinct requests over G({}, 4/n); repeats hit the cache\n",
-        s.distinct, s.n
-    );
-    let mut t = Table::new(&["pass", "requests", "elapsed (ms)", "requests/s"]);
-    t.row_owned(vec![
-        "cold (first replay)".into(),
-        s.requests.to_string(),
-        format!("{:.1}", s.total_ms),
-        format!("{:.0}", s.requests_per_sec),
-    ]);
-    t.row_owned(vec![
-        "warm (second replay)".into(),
-        s.requests.to_string(),
-        format!("{:.1}", s.warm_ms),
-        format!("{:.0}", s.warm_requests_per_sec),
-    ]);
-    t.print();
-
-    println!("\ncache-hit breakdown:");
-    let mut b = Table::new(&["counter", "value"]);
-    let st = &s.stats;
-    for (name, v) in [
-        ("requests", st.requests),
-        ("response cache hits", st.response_hits),
-        ("solver runs", st.solver_runs),
-        ("decompositions built", st.decompositions_built),
-        ("decomposition cache hits", st.decomposition_hits),
-        ("reduction plans built", st.power_plans_built),
-        ("reduction plan cache hits", st.power_plan_hits),
-    ] {
-        b.row_owned(vec![name.into(), v.to_string()]);
-    }
-    b.print();
-
-    println!("\nsolver registry (strategy selection is data-driven from this table):");
-    let mut r = Table::new(&[
-        "solver",
-        "strategy",
-        "model",
-        "det",
-        "needs-decomp",
-        "round budget",
-        "budget@n",
-    ]);
+    const REGISTRY: &[Column] = &columns! {
+        solver, strategy, model, deterministic("det"), needs_decomposition("needs-decomp"),
+        round_budget("round budget"), budget_at_n("budget@n"),
+    };
+    let t = r
+        .table("registry", REGISTRY)
+        .caption("solver registry (strategy selection is data-driven from this table):");
     for e in registry() {
-        r.row_owned(vec![
-            e.name.into(),
+        t.row(cells![
+            e.name,
             format!("{:?}", e.strategy),
-            e.model.name().into(),
-            e.deterministic.to_string(),
-            e.needs_decomposition.to_string(),
-            e.budget.into(),
-            (e.round_budget)(s.n).to_string(),
-        ]);
+            e.model.name(),
+            e.deterministic,
+            e.needs_decomposition,
+            e.budget,
+            (e.round_budget)(n),
+        ])?;
     }
-    r.print();
+    Ok(r)
 }
 
-/// Machine-readable form of the S1 summary (the CI perf artifact).
-pub fn serve_summary_json(s: &ServeSummary) -> String {
-    use crate::json::Json;
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let st = &s.stats;
-    Json::object(vec![
-        ("experiment", Json::Str("s1-serve-workload".into())),
-        ("family", Json::Str("gnp(n, 4/n)".into())),
-        ("unix_seconds", Json::Int(unix_seconds as i64)),
-        ("n", Json::Int(s.n as i64)),
-        ("requests", Json::Int(s.requests as i64)),
-        ("distinct_requests", Json::Int(s.distinct as i64)),
-        ("total_ms", Json::Float(s.total_ms)),
-        ("warm_ms", Json::Float(s.warm_ms)),
-        ("requests_per_sec", Json::Float(s.requests_per_sec)),
-        (
-            "warm_requests_per_sec",
-            Json::Float(s.warm_requests_per_sec),
-        ),
-        (
-            "cache",
-            Json::object(vec![
-                ("requests", Json::Int(st.requests as i64)),
-                ("response_hits", Json::Int(st.response_hits as i64)),
-                ("solver_runs", Json::Int(st.solver_runs as i64)),
-                (
-                    "decompositions_built",
-                    Json::Int(st.decompositions_built as i64),
-                ),
-                (
-                    "decomposition_hits",
-                    Json::Int(st.decomposition_hits as i64),
-                ),
-                ("power_plans_built", Json::Int(st.power_plans_built as i64)),
-                ("power_plan_hits", Json::Int(st.power_plan_hits as i64)),
-            ]),
-        ),
-        (
-            "metrics",
-            locality_core::serve::MetricsSnapshot::from_stats([*st]).to_json_value(),
-        ),
-    ])
-    .to_pretty()
-}
-
-/// One row of the E1 dynamic-edits experiment: sustained single-edge
-/// toggle batches against one serving session, versus a full rebuild.
-#[derive(Debug, Clone)]
-pub struct EditRow {
-    /// Nodes in the `G(n, 4/n)` instance.
-    pub n: usize,
-    /// Diameter cap of the derandomized decomposition being repaired (and
-    /// the dirty-ball radius of the repair).
-    pub cap: u32,
-    /// Single-edge toggle batches applied (each timed individually).
-    pub batches: usize,
-    /// Median repair latency, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile repair latency, ms.
-    pub p99_ms: f64,
-    /// Mean clusters invalidated per batch.
-    pub mean_dirty_clusters: f64,
-    /// Mean nodes re-derandomized per batch.
-    pub mean_region_nodes: f64,
-    /// Batches repaired incrementally (dirty region spliced).
-    pub incremental: usize,
-    /// Batches that fell back to a whole-decomposition rebuild.
-    pub full_rebuilds: usize,
-    /// One timed full derandomized decomposition of the final edited
-    /// graph — the cost every edit paid before repair existed.
-    pub rebuild_ms: f64,
-    /// `rebuild_ms / p50_ms`.
-    pub speedup_p50: f64,
-}
+/// The E1 row columns (the `BENCH_edits.json` row schema).
+const E1_ROWS: &[Column] = &columns! {
+    n, cap, batches, p50_ms("p50", "ms", 2), p99_ms("p99", "ms", 2),
+    mean_dirty_clusters("dirty/batch", "", 1), mean_region_nodes("region/batch"),
+    incremental("incr"), full_rebuilds("full"), rebuild_ms("rebuild", "ms", 1),
+    speedup_p50("speedup@p50", "x"),
+};
 
 /// E1 — dynamic graphs: a [`Session`](locality_core::serve::Session) pins a
 /// `G(n, 4/n)` graph, builds one derandomized decomposition (plus its
@@ -1671,18 +1241,21 @@ pub struct EditRow {
 /// `huge` adds the `n = 10⁵` and `n = 10⁶` rows the committed
 /// `BENCH_edits.json` records (the acceptance bar: median single-edge
 /// repair ≥ 10× faster than the full rebuild at `n = 10⁵`).
-pub fn e1_edit_rows(huge: bool) -> Vec<EditRow> {
+fn e1_edit_repair(huge: bool) -> Result<Record, ExperimentError> {
     use locality_core::serve::{DecompMethod, DecomposeOptions, Request, Session};
     use locality_graph::edits::EditBatch;
     use locality_rand::prng::Prng;
-    use std::time::Instant;
+
+    let mut r = Record::new("E1: dynamic edits — incremental decomposition repair vs full rebuild");
+    r.note("single-edge toggle batches on G(n, 4/n) through Session::apply_edits")
+        .fields(&columns! { family }, cells![GNP])?;
+    let t = r.table("rows", E1_ROWS);
 
     let mut plan: Vec<(usize, u32, usize)> = vec![(10_000, 4, 40)];
     if huge {
         plan.push((100_000, 4, 40));
         plan.push((1_000_000, 3, 12));
     }
-    let mut rows = Vec::with_capacity(plan.len());
     for (n, cap, batches) in plan {
         let mut prng = SplitMix64::new(0xED17 + n as u64);
         let g = Graph::gnp(n, 4.0 / n as f64, &mut prng);
@@ -1692,11 +1265,11 @@ pub fn e1_edit_rows(huge: bool) -> Vec<EditRow> {
         let mut session = Session::new(g);
         session
             .solve(&Request::Decompose(opts))
-            .expect("decomposition builds"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+            .context("decompose")?;
 
         let mut times_ms = Vec::with_capacity(batches);
         let (mut dirty, mut region) = (0u64, 0u64);
-        let (mut incremental, mut full_rebuilds) = (0usize, 0usize);
+        let (mut incremental, mut full_rebuilds) = (0u64, 0u64);
         for _ in 0..batches {
             // Toggle one uniformly random pair: remove it if present, add
             // it otherwise (against the session's *current* graph).
@@ -1708,163 +1281,51 @@ pub fn e1_edit_rows(huge: bool) -> Vec<EditRow> {
                     continue;
                 }
                 if session.graph().has_edge(u, v) {
-                    batch.remove_edge(u, v).expect("valid pair"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                    batch.remove_edge(u, v).context("queue an edge removal")?;
                 } else {
-                    batch.add_edge(u, v).expect("valid pair"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                    batch.add_edge(u, v).context("queue an edge addition")?;
                 }
                 break;
             }
-            let t0 = Instant::now();
-            let stats = session.apply_edits(batch).expect("repair succeeds"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-            times_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            let (stats, ms) = timed(|| session.apply_edits(batch));
+            let stats = stats.context("repair after an edit")?;
+            times_ms.push(ms);
             dirty += stats.dirty_clusters;
             region += stats.region_nodes;
-            incremental += stats.decomps_repaired as usize;
-            full_rebuilds += stats.decomps_rebuilt as usize;
+            incremental += stats.decomps_repaired;
+            full_rebuilds += stats.decomps_rebuilt;
         }
         times_ms.sort_by(|a, b| a.total_cmp(b));
         let p50_ms = times_ms[times_ms.len() / 2];
         let p99_ms = times_ms[(times_ms.len() * 99 / 100).min(times_ms.len() - 1)];
 
-        let t0 = Instant::now();
-        let rebuilt = derandomized_decomposition(session.graph(), cap);
-        let rebuild_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            rebuilt.decomposition.clustering().cluster_count() > 0,
-            "baseline rebuild produced clusters"
-        );
+        let (rebuilt, rebuild_ms) = timed(|| derandomized_decomposition(session.graph(), cap));
+        let clusters = rebuilt.decomposition.clustering().cluster_count();
+        ensure!(clusters > 0, "empty baseline rebuild at n = {n}");
 
-        rows.push(EditRow {
+        t.row(cells![
             n,
             cap,
             batches,
             p50_ms,
             p99_ms,
-            mean_dirty_clusters: dirty as f64 / batches as f64,
-            mean_region_nodes: region as f64 / batches as f64,
+            dirty as f64 / batches as f64,
+            region as f64 / batches as f64,
             incremental,
             full_rebuilds,
             rebuild_ms,
-            speedup_p50: rebuild_ms / p50_ms.max(1e-9),
-        });
+            rebuild_ms / p50_ms.max(1e-9),
+        ])?;
     }
-    rows
+    Ok(r)
 }
 
-/// Print the E1 rows as the report table.
-pub fn print_edit_rows(rows: &[EditRow]) {
-    println!("\n== E1: dynamic edits — incremental decomposition repair vs full rebuild ==");
-    println!("single-edge toggle batches on G(n, 4/n) through Session::apply_edits\n");
-    let mut t = Table::new(&[
-        "n",
-        "cap",
-        "batches",
-        "p50 (ms)",
-        "p99 (ms)",
-        "dirty/batch",
-        "region/batch",
-        "incr",
-        "full",
-        "rebuild (ms)",
-        "speedup@p50",
-    ]);
-    for r in rows {
-        t.row_owned(vec![
-            r.n.to_string(),
-            r.cap.to_string(),
-            r.batches.to_string(),
-            format!("{:.2}", r.p50_ms),
-            format!("{:.2}", r.p99_ms),
-            format!("{:.1}", r.mean_dirty_clusters),
-            format!("{:.0}", r.mean_region_nodes),
-            r.incremental.to_string(),
-            r.full_rebuilds.to_string(),
-            format!("{:.1}", r.rebuild_ms),
-            format!("{:.0}x", r.speedup_p50),
-        ]);
-    }
-    t.print();
-}
-
-/// Machine-readable form of the E1 rows (the `BENCH_edits.json` schema and
-/// the CI perf artifact).
-pub fn edit_rows_json(rows: &[EditRow]) -> String {
-    use crate::json::Json;
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    Json::object(vec![
-        ("experiment", Json::Str("e1-edit-repair".into())),
-        ("family", Json::Str("gnp(n, 4/n)".into())),
-        ("unix_seconds", Json::Int(unix_seconds as i64)),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("n", Json::Int(r.n as i64)),
-                            ("cap", Json::Int(i64::from(r.cap))),
-                            ("batches", Json::Int(r.batches as i64)),
-                            ("p50_ms", Json::Float(r.p50_ms)),
-                            ("p99_ms", Json::Float(r.p99_ms)),
-                            ("mean_dirty_clusters", Json::Float(r.mean_dirty_clusters)),
-                            ("mean_region_nodes", Json::Float(r.mean_region_nodes)),
-                            ("incremental", Json::Int(r.incremental as i64)),
-                            ("full_rebuilds", Json::Int(r.full_rebuilds as i64)),
-                            ("rebuild_ms", Json::Float(r.rebuild_ms)),
-                            ("speedup_p50", Json::Float(r.speedup_p50)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_pretty()
-}
-
-/// One row of the R1 chaos matrix: a fault-injected CONGEST execution plus
-/// a persist → corrupt → restore → serve cycle at one `(drop, crash,
-/// corruption)` point.
-#[derive(Debug, Clone)]
-pub struct FaultRow {
-    /// Nodes in the `G(n, 4/n)` instance.
-    pub n: usize,
-    /// Per-message drop rate, basis points.
-    pub drop_bp: u32,
-    /// Crash-stop rate, basis points (crashes scheduled at round 3).
-    pub crash_bp: u32,
-    /// Snapshot corruption applied before restore: `none` / `bitflip` /
-    /// `truncate`.
-    pub corruption: &'static str,
-    /// Nodes that crash-stopped in the faulty execution.
-    pub crashed_nodes: usize,
-    /// Messages dropped by the fault plan.
-    pub dropped: u64,
-    /// Extra deliveries injected by duplication.
-    pub duplicated: u64,
-    /// Deliveries deferred by the bounded-delay fault.
-    pub delayed: u64,
-    /// Whether two identical faulty runs were bit-identical (outcomes and
-    /// meter) — the determinism contract under faults.
-    pub exec_deterministic: bool,
-    /// How the fleet came back from the (possibly corrupted) snapshot:
-    /// `restored` / `rebuilt` / `fresh`.
-    pub restore: &'static str,
-    /// Requests served after restore.
-    pub requests: usize,
-    /// Responses that passed independent verification.
-    pub verified: usize,
-    /// Requests answered with a typed `SolveError` (never a panic).
-    pub typed_errors: usize,
-    /// Decompose responses whose provenance records deadline degradation.
-    pub degraded: usize,
-    /// Responses that verified **wrong** — the one count that must be zero.
-    pub silently_wrong: usize,
-    /// The restored fleet's folded metrics after serving (the artifact's
-    /// per-cell `metrics` object).
-    pub metrics: locality_core::serve::MetricsSnapshot,
-}
+/// The R1 row columns (the `BENCH_faults.json` row schema).
+const R1_ROWS: &[Column] = &columns! {
+    n, drop_bp("drop", "bp"), crash_bp("crash", "bp"), corruption, crashed_nodes("crashed"),
+    dropped, duplicated("dup"), delayed, exec_deterministic("det"), restore, requests("req"),
+    verified("ok"), typed_errors("err"), degraded, silently_wrong("wrong"), metrics,
+};
 
 /// R1 — chaos matrix: every `(drop rate × crash rate × snapshot
 /// corruption)` cell runs two probes on one `G(n, 4/n)` instance.
@@ -1884,11 +1345,11 @@ pub struct FaultRow {
 /// with bounded retries. The restored fleet then serves a mixed workload;
 /// every answer is re-verified independently (MIS/coloring verifiers,
 /// decomposition validation). Corruption must surface as a typed restore
-/// outcome (`rebuilt`), never as a wrong answer: the function asserts
-/// `silently_wrong == 0` in every cell.
+/// outcome (`rebuilt`), never as a wrong answer: a cell with
+/// `silently_wrong > 0` fails the experiment.
 ///
 /// `huge` raises `n` from 240 to 2 000.
-pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
+fn r1_chaos_matrix(huge: bool) -> Result<Record, ExperimentError> {
     use locality_core::mis::LubyProtocol;
     use locality_core::serve::{
         CostProbe, DecomposeOptions, Fleet, Request, Response, RestoreOutcome, RetryPolicy,
@@ -1896,12 +1357,18 @@ pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
     };
     use locality_sim::{Executor, FaultPlan};
 
+    let mut r = Record::new("R1: chaos matrix — faulty execution + corrupted-store restore");
+    r.note(
+        "G(n, 4/n); Luby under drop/dup/delay/crash faults; persist -> corrupt -> restore -> serve",
+    )
+    .fields(&columns! { family }, cells![GNP])?;
+    let t = r.table("rows", R1_ROWS);
+
     let n = if huge { 2_000 } else { 240 };
     let drops: [u32; 3] = [0, 1_000, 2_500];
     let crashes: [u32; 2] = [0, 1_000];
     let corruptions: [&str; 3] = ["none", "bitflip", "truncate"];
 
-    let mut rows = Vec::with_capacity(drops.len() * crashes.len() * corruptions.len());
     for (ci, &corruption) in corruptions.iter().enumerate() {
         for &drop_bp in &drops {
             for &crash_bp in &crashes {
@@ -1909,8 +1376,7 @@ pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
                     .wrapping_mul(1 + ci as u64)
                     .wrapping_add((drop_bp as u64) << 20)
                     .wrapping_add(crash_bp as u64);
-                let mut prng = SplitMix64::new(cell_seed);
-                let g = Graph::gnp(n, 4.0 / n as f64, &mut prng);
+                let g = Graph::gnp(n, 4.0 / n as f64, &mut SplitMix64::new(cell_seed));
                 let ids = IdAssignment::sequential(n);
 
                 // Probe A: faulty execution, twice; identical plans must be
@@ -1931,10 +1397,10 @@ pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
                             1,
                             &plan,
                         )
-                        .expect("luby terminates under the fault plan") // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                        .context("run Luby under the fault plan")
                 };
-                let run1 = faulty_run();
-                let run2 = faulty_run();
+                let run1 = faulty_run()?;
+                let run2 = faulty_run()?;
                 let exec_deterministic = run1 == run2;
 
                 // Probe B: build (with one forced degradation), persist,
@@ -1952,26 +1418,24 @@ pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
                 let mut origin = Session::new(g.clone());
                 origin.set_cost_probe(pessimistic);
                 for req in &workload {
-                    origin.solve(req).expect("origin session serves cleanly"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                    origin.solve(req).context("serve from the origin session")?;
                 }
                 let path = std::env::temp_dir().join(format!(
                     "locality-r1-{}-{n}-{drop_bp}-{crash_bp}-{corruption}.snap",
                     std::process::id()
                 ));
-                origin.persist(&path).expect("snapshot writes"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                origin.persist(&path).context("persist the snapshot")?;
                 match corruption {
                     "bitflip" => {
-                        let mut bytes = std::fs::read(&path).expect("snapshot readable"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                        let mut bytes = std::fs::read(&path).context("read the snapshot")?;
                         let pos = (cell_seed as usize) % bytes.len();
                         bytes[pos] ^= 1 << (cell_seed % 8);
-                        // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                        std::fs::write(&path, bytes).expect("corrupted snapshot writes");
+                        std::fs::write(&path, bytes).context("write the corrupted snapshot")?;
                     }
                     "truncate" => {
-                        let bytes = std::fs::read(&path).expect("snapshot readable"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+                        let bytes = std::fs::read(&path).context("read the snapshot")?;
                         let keep = bytes.len() * 3 / 5;
-                        // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                        std::fs::write(&path, &bytes[..keep]).expect("truncated snapshot writes");
+                        std::fs::write(&path, &bytes[..keep]).context("truncate")?;
                     }
                     _ => {}
                 }
@@ -1990,36 +1454,34 @@ pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
                 fleet.session_mut(0).set_cost_probe(pessimistic);
 
                 let results = fleet.solve_all(std::slice::from_ref(&workload), 1);
-                let (mut verified, mut typed_errors) = (0usize, 0usize);
-                let (mut degraded, mut silently_wrong) = (0usize, 0usize);
+                let (mut verified, mut typed_errors) = (0u64, 0u64);
+                let (mut degraded, mut silently_wrong) = (0u64, 0u64);
                 for (req, res) in workload.iter().zip(&results[0]) {
-                    let resp = match res {
-                        Ok(resp) => resp,
-                        Err(_) => {
-                            typed_errors += 1;
-                            continue;
-                        }
+                    let Ok(resp) = res else {
+                        typed_errors += 1;
+                        continue;
                     };
-                    let ok = match resp {
-                        Response::Mis { in_mis, .. } => mis::verify_mis(&g, in_mis).is_ok(),
-                        Response::Coloring {
-                            colors, palette, ..
-                        } => coloring::verify_coloring(&g, colors, *palette).is_ok(),
-                        Response::Decompose { provenance, .. } => {
+                    let ok = match (req, resp) {
+                        (_, Response::Mis { in_mis, .. }) => mis::verify_mis(&g, in_mis).is_ok(),
+                        (
+                            _,
+                            Response::Coloring {
+                                colors, palette, ..
+                            },
+                        ) => coloring::verify_coloring(&g, colors, *palette).is_ok(),
+                        (Request::Decompose(opts), Response::Decompose { provenance, .. }) => {
                             if provenance.degraded {
                                 degraded += 1;
                             }
-                            let Request::Decompose(opts) = req else {
-                                // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                                unreachable!("decompose response to a decompose request")
-                            };
                             fleet
                                 .session_mut(0)
                                 .decomposition(opts)
                                 .cloned()
                                 .is_ok_and(|d| d.validate(&g).is_ok())
                         }
-                        Response::Slocal { output, .. } => match output {
+                        // A decomposition answering another request is wrong.
+                        (_, Response::Decompose { .. }) => false,
+                        (_, Response::Slocal { output, .. }) => match output {
                             SlocalOutput::Flags(flags) => mis::verify_mis(&g, flags).is_ok(),
                             SlocalOutput::Colors(colors) => {
                                 coloring::verify_coloring(&g, colors, n.max(1)).is_ok()
@@ -2028,173 +1490,52 @@ pub fn r1_fault_rows(huge: bool) -> Vec<FaultRow> {
                         },
                         _ => true,
                     };
-                    if ok {
-                        verified += 1;
-                    } else {
-                        silently_wrong += 1;
-                    }
+                    verified += u64::from(ok);
+                    silently_wrong += u64::from(!ok);
                 }
-                assert_eq!(
-                    silently_wrong, 0,
+                ensure!(
+                    silently_wrong == 0,
                     "cell (drop {drop_bp}bp, crash {crash_bp}bp, {corruption}) \
-                     served a wrong answer"
+                         served {silently_wrong} wrong answers"
                 );
 
-                rows.push(FaultRow {
+                t.row(cells![
                     n,
                     drop_bp,
                     crash_bp,
                     corruption,
-                    crashed_nodes: run1.crashed_count(),
-                    dropped: run1.meter.dropped,
-                    duplicated: run1.meter.duplicated,
-                    delayed: run1.meter.delayed,
+                    run1.crashed_count(),
+                    run1.meter.dropped,
+                    run1.meter.duplicated,
+                    run1.meter.delayed,
                     exec_deterministic,
                     restore,
-                    requests: workload.len(),
+                    workload.len(),
                     verified,
                     typed_errors,
                     degraded,
                     silently_wrong,
-                    metrics: fleet.metrics_snapshot(),
-                });
+                    fleet.metrics_snapshot().to_json_value(),
+                ])?;
             }
         }
     }
-    rows
+    Ok(r)
 }
 
-/// Print the R1 rows as the report table.
-pub fn print_fault_rows(rows: &[FaultRow]) {
-    println!("\n== R1: chaos matrix — faulty execution + corrupted-store restore ==");
-    println!("G(n, 4/n); Luby under drop/dup/delay/crash faults; persist -> corrupt -> restore -> serve\n");
-    let mut t = Table::new(&[
-        "n",
-        "drop",
-        "crash",
-        "corruption",
-        "crashed",
-        "dropped",
-        "dup",
-        "delayed",
-        "det",
-        "restore",
-        "req",
-        "ok",
-        "err",
-        "degraded",
-        "wrong",
-    ]);
-    for r in rows {
-        t.row_owned(vec![
-            r.n.to_string(),
-            format!("{}bp", r.drop_bp),
-            format!("{}bp", r.crash_bp),
-            r.corruption.to_string(),
-            r.crashed_nodes.to_string(),
-            r.dropped.to_string(),
-            r.duplicated.to_string(),
-            r.delayed.to_string(),
-            if r.exec_deterministic { "yes" } else { "NO" }.to_string(),
-            r.restore.to_string(),
-            r.requests.to_string(),
-            r.verified.to_string(),
-            r.typed_errors.to_string(),
-            r.degraded.to_string(),
-            r.silently_wrong.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-/// Machine-readable form of the R1 rows (the `BENCH_faults.json` schema and
-/// the CI chaos artifact).
-pub fn fault_rows_json(rows: &[FaultRow]) -> String {
-    use crate::json::Json;
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    Json::object(vec![
-        ("experiment", Json::Str("r1-chaos-matrix".into())),
-        ("family", Json::Str("gnp(n, 4/n)".into())),
-        ("unix_seconds", Json::Int(unix_seconds as i64)),
-        (
-            "rows",
-            Json::Array(
-                rows.iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("n", Json::Int(r.n as i64)),
-                            ("drop_bp", Json::Int(i64::from(r.drop_bp))),
-                            ("crash_bp", Json::Int(i64::from(r.crash_bp))),
-                            ("corruption", Json::Str(r.corruption.into())),
-                            ("crashed_nodes", Json::Int(r.crashed_nodes as i64)),
-                            ("dropped", Json::Int(r.dropped as i64)),
-                            ("duplicated", Json::Int(r.duplicated as i64)),
-                            ("delayed", Json::Int(r.delayed as i64)),
-                            ("exec_deterministic", Json::Bool(r.exec_deterministic)),
-                            ("restore", Json::Str(r.restore.into())),
-                            ("requests", Json::Int(r.requests as i64)),
-                            ("verified", Json::Int(r.verified as i64)),
-                            ("typed_errors", Json::Int(r.typed_errors as i64)),
-                            ("degraded", Json::Int(r.degraded as i64)),
-                            ("silently_wrong", Json::Int(r.silently_wrong as i64)),
-                            ("metrics", r.metrics.to_json_value()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_pretty()
-}
-
-/// One concurrency level of the H1 live-socket load test.
-#[derive(Debug, Clone)]
-pub struct HttpRow {
-    /// Concurrent keep-alive client connections at this level.
-    pub clients: usize,
-    /// HTTP requests answered across all clients (excluding cache warm-up).
-    pub requests: u64,
-    /// Wall-clock for the level, in seconds.
-    pub elapsed_s: f64,
-    /// `requests / elapsed_s`.
-    pub requests_per_sec: f64,
-    /// Server-side `POST /solve` latency percentiles, microseconds
-    /// (log2-bucket representatives from the sharded histograms).
-    pub solve_p50_us: f64,
-    /// 99th percentile, same convention.
-    pub solve_p99_us: f64,
-    /// Protocol-level failures counted by the front-end (must stay 0).
-    pub http_errors: u64,
-    /// Session-layer cache hits (must be > 0 once warm).
-    pub response_hits: u64,
-    /// Whether the live `GET /metrics` scrape after the clients drained was
-    /// byte-identical to [`locality_core::serve::HttpServer::metrics_snapshot`].
-    pub scrape_consistent: bool,
-}
-
-/// The full H1 report: per-level rows plus the final level's folded
-/// snapshot (the `metrics` object of `BENCH_http.json`).
-#[derive(Debug, Clone)]
-pub struct HttpReport {
-    /// Nodes in the served `G(n, 4/n)` instance.
-    pub n: usize,
-    /// Accept/worker threads in the front-end.
-    pub workers: usize,
-    /// Pipelined requests in flight per client connection.
-    pub window: usize,
-    /// One row per concurrency level.
-    pub rows: Vec<HttpRow>,
-    /// Requests across all levels (excluding warm-up).
-    pub total_requests: u64,
-    /// The last level's scrape.
-    pub snapshot: locality_core::serve::MetricsSnapshot,
-}
+/// The H1 row columns (the `BENCH_http.json` row schema), one row per
+/// concurrency level. Solve latencies are server-side `POST /solve`
+/// percentiles: log2-bucket representatives from the sharded histograms.
+const H1_ROWS: &[Column] = &columns! {
+    clients, requests, elapsed_s("elapsed", "s", 3), requests_per_sec("req/s"),
+    solve_p50_us("solve p50", "us", 1), solve_p99_us("solve p99", "us", 1),
+    http_errors("http errors"), response_hits("cache hits"), scrape_consistent("scrape==snapshot"),
+};
 
 /// Locate the next complete HTTP response frame at the front of `buf`.
-/// Returns `(frame_len, is_200)` once head and body are both buffered.
-fn h1_next_frame(buf: &[u8]) -> Option<(usize, bool)> {
+/// Returns `(head_len, frame_len, is_200)` once head and body are both
+/// buffered.
+fn h1_next_frame(buf: &[u8]) -> Option<(usize, usize, bool)> {
     let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
     let mut content_length = 0usize;
     for line in buf[..head_end].split(|&b| b == b'\n') {
@@ -2204,35 +1545,37 @@ fn h1_next_frame(buf: &[u8]) -> Option<(usize, bool)> {
         }
     }
     let total = head_end + content_length;
-    (buf.len() >= total).then(|| (total, buf.starts_with(b"HTTP/1.1 200")))
+    (buf.len() >= total).then(|| (head_end, total, buf.starts_with(b"HTTP/1.1 200")))
 }
 
 /// One H1 client: `target` keep-alive requests in pipelined windows, mixed
 /// ~6/8 single solve, ~1/8 healthz, ~1/8 batch. Returns
 /// `(requests_answered, non_200_responses)`.
-fn h1_client(addr: std::net::SocketAddr, seed: u64, target: u64, window: usize) -> (u64, u64) {
+fn h1_client(
+    addr: std::net::SocketAddr,
+    seed: u64,
+    target: u64,
+    window: usize,
+) -> Result<(u64, u64), ExperimentError> {
     use locality_rand::prng::Prng;
     use std::io::{Read, Write};
 
-    let solve_body = r#"{"graph": 0, "request": {"kind": "mis"}}"#;
-    let batch_body = r#"{"graph": 0, "requests": [{"kind": "mis"}, {"kind": "coloring"}]}"#;
-    let solve = format!(
-        "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{solve_body}",
-        solve_body.len()
-    )
-    .into_bytes();
-    let batch = format!(
-        "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{batch_body}",
-        batch_body.len()
-    )
-    .into_bytes();
+    let post = |body: &str| {
+        format!(
+            "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    };
+    let solve = post(r#"{"graph": 0, "request": {"kind": "mis"}}"#);
+    let batch = post(r#"{"graph": 0, "requests": [{"kind": "mis"}, {"kind": "coloring"}]}"#);
     let healthz = b"GET /healthz HTTP/1.1\r\n\r\n".to_vec();
 
-    let mut stream = std::net::TcpStream::connect(addr).expect("h1 client connects"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-    stream.set_nodelay(true).expect("nodelay"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+    let mut stream = std::net::TcpStream::connect(addr).context("connect an h1 client")?;
+    stream.set_nodelay(true).context("set TCP_NODELAY")?;
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .expect("read timeout"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        .context("set the client read timeout")?;
 
     let mut prng = SplitMix64::new(seed);
     let mut burst: Vec<u8> = Vec::with_capacity(window * solve.len());
@@ -2249,41 +1592,39 @@ fn h1_client(addr: std::net::SocketAddr, seed: u64, target: u64, window: usize) 
                 _ => &solve,
             });
         }
-        stream.write_all(&burst).expect("burst write"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        stream.write_all(&burst).context("write a request burst")?;
         let mut got = 0usize;
         while got < w {
-            let n = stream.read(&mut tmp).expect("response read"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-            assert!(n > 0, "server closed a keep-alive connection mid-window");
+            let n = stream.read(&mut tmp).context("read responses")?;
+            ensure!(n > 0, "the server closed a connection mid-window");
             pending.extend_from_slice(&tmp[..n]);
             let mut consumed = 0usize;
-            while let Some((len, ok)) = h1_next_frame(&pending[consumed..]) {
+            while let Some((_, len, ok)) = h1_next_frame(&pending[consumed..]) {
                 consumed += len;
                 got += 1;
                 bad += u64::from(!ok);
             }
             pending.drain(..consumed);
         }
-        assert!(pending.is_empty(), "unrequested pipelined bytes");
+        ensure!(pending.is_empty(), "unrequested pipelined bytes");
         answered += w as u64;
     }
-    (answered, bad)
+    Ok((answered, bad))
 }
 
 /// One-shot `GET` over its own connection; returns the response body.
-fn h1_get(addr: std::net::SocketAddr, path: &str) -> Vec<u8> {
+fn h1_get(addr: std::net::SocketAddr, path: &str) -> Result<Vec<u8>, ExperimentError> {
     use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("h1 GET connects"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+    let mut stream = std::net::TcpStream::connect(addr).context("connect for a GET")?;
+    let request = format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n");
     stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes())
-        .expect("GET write"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        .write_all(request.as_bytes())
+        .context("write a GET")?;
     let mut buf = Vec::new();
-    stream.read_to_end(&mut buf).expect("GET read"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-    let (len, ok) = h1_next_frame(&buf).expect("complete response"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-    assert!(ok, "GET {path}: {}", String::from_utf8_lossy(&buf));
-    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4; // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-    buf.truncate(len);
-    buf.drain(..head_end);
-    buf
+    stream.read_to_end(&mut buf).context("read a GET")?;
+    let (head_end, len, ok) = h1_next_frame(&buf).context("frame a GET response")?;
+    ensure!(ok, "GET {path}: {}", String::from_utf8_lossy(&buf));
+    Ok(buf[head_end..len].to_vec())
 }
 
 /// H1 — million-request serving: concurrent pipelined clients against the
@@ -2291,13 +1632,13 @@ fn h1_get(addr: std::net::SocketAddr, path: &str) -> Vec<u8> {
 /// caches are warmed off the clock, so every row measures the steady
 /// (zero-allocation) state. `--huge` raises the largest level to 10^6
 /// requests. After each level drains, a live `/metrics` scrape must be
-/// byte-identical to the in-process snapshot.
-pub fn h1_http_report(huge: bool) -> HttpReport {
+/// byte-identical to the in-process snapshot; the record's `metrics` field
+/// is the last level's.
+fn h1_http_load(huge: bool) -> Result<Record, ExperimentError> {
     use locality_core::serve::{HttpConfig, HttpServer, Session};
 
     let n = 2000usize;
-    let mut p = SplitMix64::new(61);
-    let g = Graph::gnp_connected(n, 4.0 / n as f64, &mut p);
+    let g = Graph::gnp_connected(n, 4.0 / n as f64, &mut SplitMix64::new(61));
     let workers = 4usize;
     let window = 128usize;
     let levels: &[(usize, u64)] = if huge {
@@ -2306,21 +1647,26 @@ pub fn h1_http_report(huge: bool) -> HttpReport {
         &[(1, 10_000), (2, 15_000), (4, 25_000)]
     };
 
-    let mut rows = Vec::new();
+    let mut r = Record::new("H1: HTTP front-end load (live loopback sockets)");
+    r.note(format!(
+        "G(n={n}, 4/n), {workers} workers, {window}-request pipelined windows; \
+         fresh server per level, caches warmed off the clock"
+    ));
+    let t = r.table("rows", H1_ROWS);
+
     let mut total_requests = 0u64;
+    let mut peak_requests_per_sec = 0.0f64;
     let mut snapshot = None;
     for (level, &(clients, requests)) in levels.iter().enumerate() {
-        let server = HttpServer::start(
-            vec![Session::new(g.clone())],
-            HttpConfig::new().with_workers(workers),
-        )
-        .expect("http server starts"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-                                       // Warm the session caches off the clock: one single solve and one
-                                       // batch cover every request kind the mix sends.
-        let _ = h1_client(server.addr(), 0, 2, 1);
+        let config = HttpConfig::new().with_workers(workers);
+        let server = HttpServer::start(vec![Session::new(g.clone())], config);
+        let server = server.context("start the HTTP server")?;
+        // Warm the session caches off the clock: one single solve and one
+        // batch cover every request kind the mix sends.
+        h1_client(server.addr(), 0, 2, 1)?;
         let warm_snap = server.metrics_snapshot();
 
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let (sent, bad) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..clients)
                 .map(|c| {
@@ -2331,187 +1677,112 @@ pub fn h1_http_report(huge: bool) -> HttpReport {
                     scope.spawn(move || h1_client(addr, seed, share, window))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread")) // audit: allow(panic) -- a panicked worker already lost the run; propagating the abort is sound
-                .fold((0u64, 0u64), |(s, b), (rs, rb)| (s + rs, b + rb))
-        });
+            let (mut sent, mut bad) = (0u64, 0u64);
+            for h in handles {
+                let panicked = |_| ExperimentError::Step("an h1 client thread panicked".into());
+                let (s, b) = h.join().map_err(panicked)??;
+                sent += s;
+                bad += b;
+            }
+            Ok::<_, ExperimentError>((sent, bad))
+        })?;
         let elapsed_s = started.elapsed().as_secs_f64();
-        assert_eq!(sent, requests, "every client hit its share");
-        assert_eq!(bad, 0, "non-200 responses in the H1 steady state");
+        ensure!(sent == requests, "sent {sent} of {requests} requests");
+        ensure!(bad == 0, "{bad} non-200 responses in the H1 steady state");
 
         // The scrape handler records nothing about itself, so the live body
         // and the in-process snapshot must agree byte-for-byte.
-        let scraped = h1_get(server.addr(), "/metrics");
+        let scraped = h1_get(server.addr(), "/metrics")?;
         let snap = server.metrics_snapshot();
         let scrape_consistent = scraped == snap.to_json().into_bytes();
-        assert!(scrape_consistent, "scrape != in-process snapshot");
+        ensure!(scrape_consistent, "/metrics scrape != in-process snapshot");
 
-        let http = snap.http.clone().expect("front-end attached"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        assert_eq!(http.http_errors, 0, "typed protocol failures under load");
-        assert!(
+        let http = snap.http.clone().context("read the front-end metrics")?;
+        let errors = http.http_errors;
+        ensure!(errors == 0, "{errors} typed protocol failures under load");
+        ensure!(
             snap.response_hits > warm_snap.response_hits,
-            "steady state must hit the response cache"
+            "the steady state did not hit the response cache"
         );
         let solve = http
             .endpoints
             .iter()
             .find(|e| e.endpoint == "solve")
-            .expect("solve endpoint folded"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        rows.push(HttpRow {
+            .context("find the folded solve endpoint")?;
+        let requests_per_sec = sent as f64 / elapsed_s;
+        t.row(cells![
             clients,
-            requests: sent,
+            sent,
             elapsed_s,
-            requests_per_sec: sent as f64 / elapsed_s,
-            solve_p50_us: solve.p50_us,
-            solve_p99_us: solve.p99_us,
-            http_errors: http.http_errors,
-            response_hits: snap.response_hits,
+            requests_per_sec,
+            solve.p50_us,
+            solve.p99_us,
+            errors,
+            snap.response_hits,
             scrape_consistent,
-        });
+        ])?;
         total_requests += sent;
-        if level == levels.len() - 1 {
-            snapshot = Some(snap);
-        }
+        peak_requests_per_sec = peak_requests_per_sec.max(requests_per_sec);
+        snapshot = Some(snap);
         server.shutdown();
     }
-    HttpReport {
-        n,
-        workers,
-        window,
-        rows,
-        total_requests,
-        snapshot: snapshot.expect("at least one level"), // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-    }
-}
-
-/// Render the H1 report as a table.
-pub fn print_http_report(report: &HttpReport) {
-    println!("\n== H1: HTTP front-end load (live loopback sockets) ==");
-    println!(
-        "G(n={}, 4/n), {} workers, {}-request pipelined windows; \
-         fresh server per level, caches warmed off the clock\n",
-        report.n, report.workers, report.window
-    );
-    let mut t = Table::new(&[
-        "clients",
-        "requests",
-        "elapsed s",
-        "req/s",
-        "solve p50 us",
-        "solve p99 us",
-        "http errors",
-        "cache hits",
-        "scrape==snapshot",
-    ]);
-    for r in &report.rows {
-        t.row_owned(vec![
-            r.clients.to_string(),
-            r.requests.to_string(),
-            format!("{:.3}", r.elapsed_s),
-            format!("{:.0}", r.requests_per_sec),
-            format!("{:.1}", r.solve_p50_us),
-            format!("{:.1}", r.solve_p99_us),
-            r.http_errors.to_string(),
-            r.response_hits.to_string(),
-            r.scrape_consistent.to_string(),
-        ]);
-    }
-    t.print();
-    println!(
-        "\n{} total requests; peak {:.0} req/s",
-        report.total_requests,
-        report
-            .rows
-            .iter()
-            .map(|r| r.requests_per_sec)
-            .fold(0.0, f64::max)
-    );
-}
-
-/// Machine-readable form of the H1 report (the `BENCH_http.json` schema).
-pub fn http_report_json(report: &HttpReport) -> String {
-    use crate::json::Json;
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    Json::object(vec![
-        ("experiment", Json::Str("h1-http-load".into())),
-        ("family", Json::Str("gnp(n, 4/n)".into())),
-        ("unix_seconds", Json::Int(unix_seconds as i64)),
-        ("n", Json::Int(report.n as i64)),
-        ("workers", Json::Int(report.workers as i64)),
-        ("window", Json::Int(report.window as i64)),
-        ("total_requests", Json::Int(report.total_requests as i64)),
-        (
-            "rows",
-            Json::Array(
-                report
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        Json::object(vec![
-                            ("clients", Json::Int(r.clients as i64)),
-                            ("requests", Json::Int(r.requests as i64)),
-                            ("elapsed_s", Json::Float(r.elapsed_s)),
-                            ("requests_per_sec", Json::Float(r.requests_per_sec)),
-                            ("solve_p50_us", Json::Float(r.solve_p50_us)),
-                            ("solve_p99_us", Json::Float(r.solve_p99_us)),
-                            ("http_errors", Json::Int(r.http_errors as i64)),
-                            ("response_hits", Json::Int(r.response_hits as i64)),
-                            ("scrape_consistent", Json::Bool(r.scrape_consistent)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("metrics", report.snapshot.to_json_value()),
-    ])
-    .to_pretty()
+    let snapshot = snapshot.context("run at least one level")?;
+    const SUMMARY: &[Column] =
+        &columns! { family, n, workers, window, total_requests("total requests"), metrics };
+    r.note(format!(
+        "{total_requests} total requests; peak {peak_requests_per_sec:.0} req/s"
+    ))
+    .fields(
+        SUMMARY,
+        cells![
+            GNP,
+            n,
+            workers,
+            window,
+            total_requests,
+            snapshot.to_json_value()
+        ],
+    )?;
+    Ok(r)
 }
 
 /// F1 — per-phase clustering fraction ([EN16, Claim 6]).
-pub fn f1_phase_fractions() {
-    println!("\n== F1: per-phase clustered fraction (EN16 Claim 6: >= const) ==");
-    let mut t = Table::new(&["family", "phase1", "phase2", "phase3", "phase4", "phase5"]);
-    for fam in [
-        Family::GnpSparse,
-        Family::Grid,
-        Family::Cycle,
-        Family::RandomTree,
-    ] {
+fn f1_phase_fractions() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("F1: per-phase clustered fraction (EN16 Claim 6: >= const)");
+    const ROWS: &[Column] = &columns! {
+        family, phase1("phase1", "", 2), phase2("phase2", "", 2), phase3("phase3", "", 2),
+        phase4("phase4", "", 2), phase5("phase5", "", 2),
+    };
+    let t = r.table("rows", ROWS);
+    for fam in [GnpSparse, Grid, Cycle, RandomTree] {
         let g = fam_graph(fam, 512, 101);
         let cfg = ElkinNeimanConfig::for_graph(&g);
         // Average over seeds.
         let trials = 10u64;
         let mut acc = [0.0f64; 5];
         for s in 0..trials {
-            let mut src = PrngSource::seeded(s * 7 + 1);
-            let out = elkin_neiman(&g, &cfg, &mut src);
+            let out = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(s * 7 + 1));
             let fr = out.per_phase_fractions();
             for (i, slot) in acc.iter_mut().enumerate() {
                 *slot += fr.get(i).copied().unwrap_or(1.0);
             }
         }
-        t.row_owned(
-            std::iter::once(fam.name().to_string())
-                .chain(acc.iter().map(|a| format!("{:.2}", a / trials as f64)))
-                .collect(),
-        );
+        let mut row = cells![fam.name()];
+        row.extend(acc.iter().map(|a| Cell::from(a / trials as f64)));
+        t.row(row)?;
     }
-    t.print();
+    Ok(r)
 }
 
 /// F2 — survival curve: fraction unclustered after each phase.
-pub fn f2_survival_curve() {
-    println!("\n== F2: unclustered fraction vs phase (exponential decay) ==");
-    let g = fam_graph(Family::GnpSparse, 512, 103);
+fn f2_survival_curve() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("F2: unclustered fraction vs phase (exponential decay)");
+    let g = fam_graph(GnpSparse, 512, 103);
     let cfg = ElkinNeimanConfig::for_graph(&g);
     let trials = 20u64;
     let mut survive = [0.0f64; 12];
     for s in 0..trials {
-        let mut src = PrngSource::seeded(s * 13 + 5);
-        let out = elkin_neiman(&g, &cfg, &mut src);
+        let out = elkin_neiman(&g, &cfg, &mut PrngSource::seeded(s * 13 + 5));
         let mut alive = g.node_count() as f64;
         for (i, slot) in survive.iter_mut().enumerate() {
             if let Some(&(_, clustered)) = out.per_phase.get(i) {
@@ -2520,20 +1791,18 @@ pub fn f2_survival_curve() {
             *slot += alive / g.node_count() as f64;
         }
     }
-    let mut t = Table::new(&["phase", "frac unclustered", "2^-phase reference"]);
+    const ROWS: &[Column] = &columns! {
+        phase, frac_unclustered("frac unclustered", "", 4), reference("2^-phase reference", "", 4),
+    };
+    let t = r.table("rows", ROWS);
     for (i, s) in survive.iter().enumerate() {
-        t.row_owned(vec![
-            (i + 1).to_string(),
-            format!("{:.4}", s / trials as f64),
-            format!("{:.4}", 0.5f64.powi(i as i32 + 1)),
-        ]);
+        t.row(cells![i + 1, s / trials as f64, 0.5f64.powi(i as i32 + 1)])?;
     }
-    t.print();
+    Ok(r)
 }
 
 /// F3 — separated-survivor tail (the K statistic of Theorem 4.2).
-pub fn f3_separated_tail() {
-    println!("\n== F3: (2t+1)-separated survivor set size K (tail <= n^-K) ==");
+fn f3_separated_tail() -> Result<Record, ExperimentError> {
     // A long cycle keeps the diameter large relative to the separation, so
     // the K statistic has room to grow; t is fixed small for observability
     // (with the paper's t = T(n) the separation exceeds small-world
@@ -2543,106 +1812,165 @@ pub fn f3_separated_tail() {
     let trials = 100u64;
     let t_param = 4u32;
     let separation = 2 * t_param + 1;
-    let mut t = Table::new(&[
-        "EN phases",
-        "avg survivors",
-        "P(K=0)",
-        "P(K=1)",
-        "P(K=2)",
-        "P(K>=3)",
-        "max K",
-    ]);
+    let mut r = Record::new("F3: (2t+1)-separated survivor set size K (tail <= n^-K)");
+    r.note(format!(
+        "(separation {separation} = 2t+1 with t = {t_param}; the paper bounds P(K >= k) <= n^-k: \
+         K collapses as the phase budget grows)"
+    ));
+    const ROWS: &[Column] = &columns! {
+        phases("EN phases"), avg_survivors("avg survivors", "", 1), p_k0("P(K=0)", "", 2),
+        p_k1("P(K=1)", "", 2), p_k2("P(K=2)", "", 2), p_k3_plus("P(K>=3)", "", 2), max_k("max K"),
+    };
+    let t = r.table("rows", ROWS);
     for phases in [1u32, 2, 4, 8] {
         let cfg = ElkinNeimanConfig { phases, cap: 20 };
         let mut hist = [0u64; 4];
         let mut max_k = 0usize;
         let mut survivors_sum = 0usize;
         for trial in 0..trials {
-            let mut src = PrngSource::seeded(trial * 17 + phases as u64);
-            let out = elkin_neiman_partial(&g, &ids, &cfg, &mut src);
+            let out = elkin_neiman_partial(
+                &g,
+                &ids,
+                &cfg,
+                &mut PrngSource::seeded(trial * 17 + phases as u64),
+            );
             survivors_sum += out.survivors.len();
             let k = max_separated_subset(&g, &out.survivors, separation).len();
             max_k = max_k.max(k);
             hist[k.min(3)] += 1;
         }
-        t.row_owned(vec![
-            phases.to_string(),
-            format!("{:.1}", survivors_sum as f64 / trials as f64),
-            format!("{:.2}", hist[0] as f64 / trials as f64),
-            format!("{:.2}", hist[1] as f64 / trials as f64),
-            format!("{:.2}", hist[2] as f64 / trials as f64),
-            format!("{:.2}", hist[3] as f64 / trials as f64),
-            max_k.to_string(),
-        ]);
+        let share = |count: u64| count as f64 / trials as f64;
+        t.row(cells![
+            phases,
+            survivors_sum as f64 / trials as f64,
+            share(hist[0]),
+            share(hist[1]),
+            share(hist[2]),
+            share(hist[3]),
+            max_k,
+        ])?;
     }
-    t.print();
-    println!(
-        "(separation {} = 2t+1 with t = {}; the paper bounds P(K >= k) <= n^-k: \
-         K collapses as the phase budget grows)",
-        separation, t_param
-    );
+    Ok(r)
 }
 
-/// F4 — k-wise marking concentration (the [SSS95] bound inside Thm 3.5).
-pub fn f4_marking_concentration() {
-    println!("\n== F4: k-wise marking concentration (Theorem 3.5 / SSS95) ==");
+/// F4 — k-wise marking concentration (the [SSS95] bound inside Thm 3.5):
+/// the solver-visible range of marked vertices per edge next to its
+/// expectation, plus the violation count.
+fn f4_marking_concentration() -> Result<Record, ExperimentError> {
+    let mut r = Record::new("F4: k-wise marking concentration (Theorem 3.5 / SSS95)");
     let n = 1024usize;
-    let mut t = Table::new(&[
-        "edge size",
-        "expected marked",
-        "min",
-        "avg",
-        "max",
-        "violations",
-    ]);
+    const ROWS: &[Column] = &columns! {
+        edge_size("edge size"), expected_marked("expected marked"), min_marked("min"),
+        max_marked("max"), violations,
+    };
+    let t = r.table("rows", ROWS);
     for size in [64usize, 128, 256, 512] {
-        let mut p = SplitMix64::new(size as u64);
-        let hg = random_hypergraph(n, 50, &[size], &mut p);
-        let mut src = PrngSource::seeded(7);
-        let kw = KWiseBits::from_source(100, &mut src).expect("unbounded"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+        let hg = random_hypergraph(n, 50, &[size], &mut SplitMix64::new(size as u64));
+        let kw = KWiseBits::from_source(100, &mut PrngSource::seeded(7))
+            .context("draw a k-wise seed")?;
         let out = conflict_free_multicolor(&hg, &kw, 8, 4);
         let stats = out
             .class_stats
             .iter()
             .find(|c| c.marked)
-            .expect("large class is marked"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        let log = Graph::empty(n).log2_n() as f64;
-        let expected = 4.0 * log;
-        // Average via re-derivation from min/max midpoint is coarse; report
-        // the solver-visible range plus the violation count.
-        t.row_owned(vec![
-            size.to_string(),
-            format!("{:.0}", expected),
-            stats.min_marked.to_string(),
-            format!("~{:.0}", (stats.min_marked + stats.max_marked) as f64 / 2.0),
-            stats.max_marked.to_string(),
-            out.violations.len().to_string(),
-        ]);
+            .context("find the marked size class")?;
+        let expected = 4.0 * Graph::empty(n).log2_n() as f64;
+        t.row(cells![
+            size,
+            expected,
+            stats.min_marked,
+            stats.max_marked,
+            out.violations.len(),
+        ])?;
     }
-    t.print();
+    Ok(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::PROVENANCE;
 
-    /// Every experiment must at least run without panicking on a reduced
-    /// scale — the binary exercises the full scale.
-    #[test]
-    fn smoke_t5_and_f4() {
-        t5_splitting_smoke();
-        fn t5_splitting_smoke() {
-            let mut p = SplitMix64::new(1);
-            let h = SplittingInstance::random(20, 40, 8, &mut p);
-            let mut sm = SplitMix64::new(2);
-            let seed = SharedSeed::from_prng(700, &mut sm);
-            let a = solve_shared(&h, &seed, SeedExpansion::KWise(8)).unwrap();
-            let _ = a.is_success();
+    /// Every row object under `table` has exactly the `columns` keys, in order.
+    fn assert_rows_match(json: &Json, table: &str, columns: &[Column], what: &str) {
+        let rows = json.get(table).and_then(Json::as_array).unwrap_or_default();
+        assert!(!rows.is_empty(), "{what}: no rows under {table}");
+        let declared: Vec<&str> = columns.iter().map(|c| c.key).collect();
+        for row in rows {
+            let Json::Object(pairs) = row else {
+                panic!("{what}: a row is not an object")
+            };
+            let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys, declared,
+                "{what}: row keys differ from the columns of {table}"
+            );
         }
+    }
+
+    /// The fast experiments end to end through the dispatcher (the binary
+    /// and CI run the rest): each record's JSON parses back, carries the
+    /// provenance header, and writes one key per declared column per row.
+    #[test]
+    fn fast_experiments_run_through_the_dispatcher() {
+        for id in ["t1", "t4", "t7", "t8", "t9", "t10", "a1", "f4"] {
+            let record = run(id, false).unwrap_or_else(|e| panic!("{id}: {e}"));
+            let json = Json::parse(&record.to_json().to_pretty()).unwrap();
+            let tag = json.get("experiment").and_then(Json::as_str).unwrap();
+            assert!(tag.starts_with(&format!("{id}-")), "{id}: tag {tag}");
+            assert!(PROVENANCE.iter().all(|c| json.get(c.key).is_some()), "{id}");
+            assert!(record.schema().next().is_some(), "{id}: no tables");
+            for (key, columns) in record.schema() {
+                assert_rows_match(&json, key, columns, id);
+            }
+            assert!(record
+                .render_text()
+                .contains(&format!("== {}", id.to_uppercase())));
+        }
+    }
+
+    /// T7's summary as the harness printed it before records existed
+    /// (error rate 47 980 / 2^18). Drawing all 16 instances from one
+    /// seed-51 stream is what makes them differ: re-seeding per instance
+    /// gives 16 copies of one instance, error rate 0.1818 and 13 406 good
+    /// seeds.
+    #[test]
+    fn t7_summary_is_pinned() {
+        let json = t7_derandomization().unwrap().to_json();
+        let field = |key| json.get(key).unwrap_or_else(|| panic!("no {key}"));
+        assert_eq!(field("instances").as_int(), Some(16));
+        assert_eq!(field("seed_space").as_int(), Some(1 << 14));
+        assert_eq!(field("error_rate").as_f64(), Some(47_980.0 / 262_144.0));
+        assert_eq!(field("good_seeds").as_int(), Some(3768));
+        assert_eq!(field("deterministic_algorithm").as_bool(), Some(true));
     }
 
     #[test]
     fn dispatcher_rejects_unknown() {
-        run("zz"); // prints to stderr, must not panic
+        assert_eq!(
+            run("zz", false).unwrap_err(),
+            ExperimentError::UnknownId("zz".into())
+        );
+    }
+
+    /// The committed records keep the declared schema: a renamed or
+    /// reordered column fails here instead of silently forking the
+    /// committed `BENCH_*.json` files.
+    #[test]
+    fn committed_records_match_declared_columns() {
+        let committed: [(&str, &str, &[Column]); 6] = [
+            ("BENCH_derand.json", "d1-derand-scaling", D1_ROWS),
+            ("BENCH_producers.json", "d2-producer-matrix", D2_ROWS),
+            ("BENCH_pipeline.json", "p1-pipeline-scaling", P1_ROWS),
+            ("BENCH_edits.json", "e1-edit-repair", E1_ROWS),
+            ("BENCH_faults.json", "r1-chaos-matrix", R1_ROWS),
+            ("BENCH_http.json", "h1-http-load", H1_ROWS),
+        ];
+        for (file, tag, columns) in committed {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let json = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            assert_eq!(json.get("experiment").and_then(Json::as_str), Some(tag));
+            assert_rows_match(&json, "rows", columns, file);
+        }
     }
 }

@@ -1,12 +1,16 @@
 //! Experiment harness for the reproduction.
 //!
-//! Every table (T1–T10) and figure (F1–F4) of the experiment plan in the
-//! repository-root `DESIGN.md` (§3) is regenerated by [`experiments::run`],
-//! which the `experiments` binary dispatches to:
+//! Each table (T1–T10), figure (F1–F4) and benchmark (A1, D1, D2, P1, S1,
+//! E1, R1, H1) of the experiment plan in the repository-root `DESIGN.md`
+//! (§3) has an experiment id. [`experiments::run`] turns an id into a
+//! [`record::Record`]: typed columns declared once, which the `experiments`
+//! binary renders as the text report and as the JSON record (with a
+//! provenance header):
 //!
 //! ```sh
 //! cargo run -p locality-bench --release --bin experiments -- all
 //! cargo run -p locality-bench --release --bin experiments -- t5 f1
+//! cargo run -p locality-bench --release --bin experiments -- d1 --json BENCH_derand.json
 //! ```
 //!
 //! The Criterion benches (`cargo bench`) time the hot paths; the experiment
@@ -17,5 +21,4 @@
 // references, not intra-doc links.
 #![allow(rustdoc::broken_intra_doc_links)]
 pub mod experiments;
-pub mod json;
-pub mod table;
+pub mod record;

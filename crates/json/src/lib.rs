@@ -57,22 +57,6 @@ impl Json {
         Json::object(vec![("skipped", Json::Str(reason.to_string()))])
     }
 
-    /// `value` as a float, or a [`Json::skipped`] marker with `reason`.
-    pub fn float_or_skipped(value: Option<f64>, reason: &str) -> Json {
-        match value {
-            Some(v) => Json::Float(v),
-            None => Json::skipped(reason),
-        }
-    }
-
-    /// `value` as an int, or a [`Json::skipped`] marker with `reason`.
-    pub fn int_or_skipped(value: Option<i64>, reason: &str) -> Json {
-        match value {
-            Some(v) => Json::Int(v),
-            None => Json::skipped(reason),
-        }
-    }
-
     /// The value under `key`, when this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -232,8 +216,8 @@ mod tests {
     #[test]
     fn skipped_markers_are_self_describing() {
         let j = Json::object(vec![
-            ("speedup", Json::float_or_skipped(None, "no reference run")),
-            ("grid_side", Json::int_or_skipped(Some(32), "unused")),
+            ("speedup", Json::skipped("no reference run")),
+            ("grid_side", Json::Int(32)),
         ]);
         let s = j.to_pretty();
         assert!(s.contains("\"skipped\": \"no reference run\""));
