@@ -14,7 +14,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: experiments [options] <all | t1..t10 a1 d1 d2 p1 s1 e1 r1 h1 f1..f4>...
 
 Regenerates the theorem-derived tables (T1-T10) and figures (F1-F4), the
-LocalAlgorithm accounting table (A1), the derandomizer scaling (D1),
+protocol-port accounting table (A1), the derandomizer scaling (D1),
 producer matrix (D2), pipeline (P1), serving workload (S1), edit repair
 (E1), chaos matrix (R1) and HTTP load (H1) benchmarks of DESIGN.md
 section 3. Pass `all` or any mix of ids. A failed check exits 1.

@@ -3,7 +3,7 @@
 
 use crate::record::{Cell, Column, Record};
 use crate::{cells, columns};
-use locality_core::algorithm::{LocalAlgorithm, RoundStats};
+use locality_core::algorithm::RoundStats;
 use locality_core::boost::{boosted_decomposition, max_separated_subset, BoostConfig};
 use locality_core::cfc::{conflict_free_multicolor, random_hypergraph};
 use locality_core::coloring;
@@ -206,8 +206,8 @@ fn t1_en_baseline() -> Result<Record, ExperimentError> {
     Ok(r)
 }
 
-/// A1 — the unified [`LocalAlgorithm`] interface: MIS, trial coloring and
-/// the Elkin–Neiman decomposition all executed as CONGEST protocols on the
+/// A1 — the protocol ports side by side: MIS, trial coloring and the
+/// Elkin–Neiman decomposition all executed as CONGEST protocols on the
 /// arena engine, so every column is *measured by the same metering path*
 /// (rounds are engine rounds, messages are occupied edge slots, violations
 /// are counted per directed message, random bits are actual draws).
@@ -216,7 +216,7 @@ fn a1_local_algorithms() -> Result<Record, ExperimentError> {
     use locality_core::decomposition::ElkinNeimanDecomposition;
     use locality_core::mis::LubyMis;
 
-    let mut r = Record::new("A1: unified LocalAlgorithm accounting (engine-metered)");
+    let mut r = Record::new("A1: engine-metered accounting of the protocol ports");
     r.note("every algorithm runs as an engine protocol: uniform rounds/messages/bits/randomness");
     const ROWS: &[Column] = &columns! {
         algorithm, family, n, rounds, messages("msgs"), bits_sent("bits"),
@@ -1065,8 +1065,8 @@ fn p1_pipeline_scaling(huge: bool) -> Result<Record, ExperimentError> {
 /// point the numbers make: the whole mix costs **two** decomposition builds
 /// and **two** reduction plans, everything else is served from cache —
 /// where the free functions would recompute per call. The record also
-/// carries the solver registry (the enumerable capability table behind
-/// `Strategy::Auto`).
+/// carries the solver registry (the enumerable table of every served
+/// `(problem, strategy)` pair).
 fn s1_serve_workload() -> Result<Record, ExperimentError> {
     use locality_core::serve::{
         registry, ColoringOptions, DecompMethod, DecomposeOptions, MetricsSnapshot, MisOptions,
@@ -1207,7 +1207,7 @@ fn s1_serve_workload() -> Result<Record, ExperimentError> {
     };
     let t = r
         .table("registry", REGISTRY)
-        .caption("solver registry (strategy selection is data-driven from this table):");
+        .caption("solver registry (every served pair; a problem's first row is its Auto):");
     for e in registry() {
         t.row(cells![
             e.name,

@@ -1,20 +1,23 @@
-//! The unified [`LocalAlgorithm`] interface: graph + identifiers + seed in,
-//! per-node labeling + [`RoundStats`] out.
+//! The shared run shape of the protocol ports: graph + identifiers + seed
+//! in, per-node labeling + [`RoundStats`] out.
 //!
-//! Implementations of [`LocalAlgorithm`] run as [`BatchProtocol`]s on the
-//! workspace's one round runtime, [`locality_sim::executor::Executor`], so
-//! every algorithm is metered by the *same* code: rounds are executor
-//! rounds, messages are occupied directed-edge slots, CONGEST violations are
-//! counted per directed message, and random bits are whatever the per-node
-//! sources report through [`BatchProtocol::random_bits`]. Luby MIS and trial
-//! coloring are single protocols; Elkin–Neiman runs one protocol per phase
-//! and adds the bits its radius draws consumed. The centralized versions
-//! that charge rounds analytically (`mis::luby`, `coloring::random_coloring`)
-//! remain as references, so their costs are not comparable with these.
+//! The ports — [`LubyMis`](crate::mis::LubyMis),
+//! [`TrialColoring`](crate::coloring::TrialColoring) and
+//! [`ElkinNeimanDecomposition`](crate::decomposition::ElkinNeimanDecomposition),
+//! each with an inherent `run(&self, g, ids, seed)` — execute as
+//! [`BatchProtocol`]s on the workspace's one round runtime,
+//! [`locality_sim::executor::Executor`], so every one is metered by the
+//! *same* code: rounds are executor rounds, messages are occupied
+//! directed-edge slots, CONGEST violations are counted per directed message,
+//! and random bits are whatever the per-node sources report through
+//! [`BatchProtocol::random_bits`]. Luby MIS and trial coloring are single
+//! protocols; Elkin–Neiman runs one protocol per phase and adds the bits its
+//! radius draws consumed. The centralized versions that charge rounds
+//! analytically (`mis::luby`, `coloring::random_coloring`) remain as
+//! references, so their costs are not comparable with these.
 //!
 //! # Example
 //! ```
-//! use locality_core::algorithm::LocalAlgorithm;
 //! use locality_core::mis::{verify_mis, LubyMis};
 //! use locality_graph::prelude::*;
 //!
@@ -33,14 +36,15 @@ use locality_sim::cost::CostMeter;
 use locality_sim::executor::{BatchProtocol, Executor, Mode};
 use std::fmt;
 
-/// Uniform cost accounting for one [`LocalAlgorithm`] execution.
+/// Uniform cost accounting for one protocol-port run.
 ///
 /// `#[non_exhaustive]`: future engines may add cost dimensions; construct
 /// through the ports, match with a `..` rest pattern.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundStats {
-    /// The algorithm's name (as reported by [`LocalAlgorithm::name`]).
+    /// The port's short stable name (`luby-mis`, `trial-coloring`,
+    /// `elkin-neiman`).
     pub algorithm: &'static str,
     /// Number of nodes of the input graph.
     pub n: usize,
@@ -57,36 +61,13 @@ impl fmt::Display for RoundStats {
     }
 }
 
-/// Result of a [`LocalAlgorithm`] execution.
+/// Result of a protocol-port run.
 #[derive(Debug, Clone)]
 pub struct AlgorithmRun<L> {
     /// Per-node labels, indexed by node.
     pub labels: Vec<L>,
     /// Uniform cost accounting.
     pub stats: RoundStats,
-}
-
-/// A distributed algorithm with the paper's standard signature: a graph with
-/// unique identifiers and a randomness seed in, a per-node labeling and
-/// uniform [`RoundStats`] out.
-///
-/// Implementations execute as message-passing protocols on the simulation
-/// engine (or compose such executions), so their costs are measured, not
-/// asserted. Runs are deterministic functions of `(g, ids, seed)`.
-pub trait LocalAlgorithm {
-    /// The per-node output label.
-    type Label;
-
-    /// A short stable name for tables and logs.
-    fn name(&self) -> &'static str;
-
-    /// Execute on `g` with identifier assignment `ids` and randomness
-    /// derived (only) from `seed`.
-    ///
-    /// # Panics
-    /// Implementations panic if `ids` does not match `g` or if the run
-    /// exceeds its (generous, w.h.p.-safe) internal round budget.
-    fn run(&self, g: &Graph, ids: &IdAssignment, seed: u64) -> AlgorithmRun<Self::Label>;
 }
 
 /// Derive a statistically independent per-node seed from a run seed and the
@@ -96,7 +77,7 @@ pub fn node_seed(seed: u64, id: u64) -> u64 {
     SplitMix64::new(seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15)).next_u64()
 }
 
-/// The shared wrapper shape of the protocol-backed [`LocalAlgorithm`] ports:
+/// The shared wrapper shape of the single-protocol ports:
 /// run `protocols` on a standard-budget CONGEST [`Executor`] and assemble
 /// the uniform [`AlgorithmRun`]. `max_rounds == 0` selects a generous
 /// w.h.p.-safe default of `64·(⌈log2 n⌉ + 1)` engine rounds; `threads`
@@ -166,8 +147,8 @@ mod tests {
         assert_eq!(node_seed(7, 9), node_seed(7, 9));
     }
 
-    /// The acceptance shape: MIS, coloring and a decomposition all running
-    /// through the same trait with engine-metered stats.
+    /// MIS, coloring and a decomposition all return the same
+    /// [`AlgorithmRun`] shape with engine-metered stats.
     #[test]
     fn three_algorithms_through_one_interface() {
         let g = Graph::grid(6, 6);

@@ -8,7 +8,7 @@
 //! The deterministic route consumes a network decomposition exactly as MIS
 //! does.
 
-use crate::algorithm::{node_seed, run_congest_protocol, AlgorithmRun, LocalAlgorithm};
+use crate::algorithm::{node_seed, run_congest_protocol, AlgorithmRun};
 use crate::checkers::{VerifyError, VerifyErrorKind};
 use crate::decomposition::types::Decomposition;
 use locality_graph::ids::IdAssignment;
@@ -417,8 +417,8 @@ impl BatchProtocol for TrialProtocol {
     }
 }
 
-/// Trial (∆+1)-coloring through the unified [`LocalAlgorithm`] interface,
-/// executed as a CONGEST protocol on the arena engine.
+/// Trial (∆+1)-coloring executed as a CONGEST protocol on the arena engine
+/// (rounds/messages/random bits measured, not charged analytically).
 #[derive(Debug, Clone, Copy)]
 pub struct TrialColoring {
     /// Worker threads for node steps (`1` = sequential; `0` = all cores).
@@ -437,17 +437,17 @@ impl Default for TrialColoring {
     }
 }
 
-impl LocalAlgorithm for TrialColoring {
-    type Label = usize;
-
-    fn name(&self) -> &'static str {
-        "trial-coloring"
-    }
-
-    fn run(&self, g: &Graph, ids: &IdAssignment, seed: u64) -> AlgorithmRun<usize> {
+impl TrialColoring {
+    /// Run on `g` with identifiers `ids`, every node's randomness derived
+    /// (only) from `seed`, over the palette `∆ + 1`; the stats are named
+    /// `trial-coloring`.
+    ///
+    /// # Panics
+    /// If `ids` does not match `g` or the run exceeds its round budget.
+    pub fn run(&self, g: &Graph, ids: &IdAssignment, seed: u64) -> AlgorithmRun<usize> {
         let palette = g.max_degree() + 1;
         run_congest_protocol(
-            self.name(),
+            "trial-coloring",
             g,
             ids,
             self.threads,

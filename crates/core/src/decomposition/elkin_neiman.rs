@@ -19,7 +19,7 @@
 //! values decaying by one per hop; `O(cap)` rounds stabilize. Messages carry
 //! two compact `(id, value)` pairs — `O(log n)` bits.
 
-use crate::algorithm::{AlgorithmRun, LocalAlgorithm, RoundStats};
+use crate::algorithm::{AlgorithmRun, RoundStats};
 use crate::decomposition::types::Decomposition;
 use locality_graph::cluster::Clustering;
 use locality_graph::ids::IdAssignment;
@@ -371,12 +371,12 @@ pub fn elkin_neiman_kwise(g: &Graph, cfg: &ElkinNeimanConfig, kw: &KWiseBits) ->
     out
 }
 
-/// The Elkin–Neiman decomposition through the unified [`LocalAlgorithm`]
-/// interface. The construction already executes phase by phase as a CONGEST
-/// protocol on the executor; this wrapper gives it the standard
-/// graph-ids-seed signature and uniform [`RoundStats`]. A node's label is
-/// its `(phase, center id)` cluster, or `None` if it survived the phase
-/// budget (the `V̄` of Theorem 4.2).
+/// The Elkin–Neiman decomposition with the protocol ports' run shape. The
+/// construction already executes phase by phase as a CONGEST protocol on
+/// the executor; this wrapper gives it the standard graph-ids-seed
+/// signature and uniform [`RoundStats`]. A node's label is its
+/// `(phase, center id)` cluster, or `None` if it survived the phase budget
+/// (the `V̄` of Theorem 4.2).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ElkinNeimanDecomposition {
     /// Phase/cap parameters (`None` = the paper's parameters for the graph,
@@ -384,21 +384,22 @@ pub struct ElkinNeimanDecomposition {
     pub cfg: Option<ElkinNeimanConfig>,
 }
 
-impl LocalAlgorithm for ElkinNeimanDecomposition {
-    type Label = Option<(u32, u64)>;
-
-    fn name(&self) -> &'static str {
-        "elkin-neiman"
-    }
-
-    fn run(&self, g: &Graph, ids: &IdAssignment, seed: u64) -> AlgorithmRun<Self::Label> {
+impl ElkinNeimanDecomposition {
+    /// Run on `g` with identifiers `ids` and randomness derived (only) from
+    /// `seed`; the stats are named `elkin-neiman`.
+    pub fn run(
+        &self,
+        g: &Graph,
+        ids: &IdAssignment,
+        seed: u64,
+    ) -> AlgorithmRun<Option<(u32, u64)>> {
         let cfg = self.cfg.unwrap_or_else(|| ElkinNeimanConfig::for_graph(g));
         let mut src = PrngSource::seeded(seed);
         let out = elkin_neiman_partial(g, ids, &cfg, &mut src);
         AlgorithmRun {
             labels: out.labels,
             stats: RoundStats {
-                algorithm: self.name(),
+                algorithm: "elkin-neiman",
                 n: g.node_count(),
                 // The phases run on `Executor::congest`, which uses exactly
                 // this mode.

@@ -21,17 +21,19 @@
 //! | Consumers: MIS, (∆+1)-coloring, randomized & decomposition-derandomized | [`mis`], [`coloring`] |
 //! | Local checkability (Def. 2.2) | [`checkers`] |
 //!
-//! Since the arena-executor refactor the core algorithms also expose the
-//! unified [`algorithm::LocalAlgorithm`] interface (graph + ids + seed in,
-//! labeling + [`algorithm::RoundStats`] out): MIS, trial coloring and the
-//! Elkin–Neiman decomposition run as engine protocols, so their round,
-//! message and random-bit budgets are measured by one metering path.
+//! MIS, trial coloring and the Elkin–Neiman decomposition also run as
+//! protocol ports on the round executor ([`mis::LubyMis`],
+//! [`coloring::TrialColoring`],
+//! [`decomposition::ElkinNeimanDecomposition`]): graph + ids + seed in,
+//! labeling + [`algorithm::RoundStats`] out, so their round, message and
+//! random-bit budgets are measured by one metering path.
 //!
 //! The [`serve`] subsystem is the production façade over all of the above:
-//! typed [`serve::Request`]/[`serve::Response`] problems, a data-driven
-//! solver [`serve::registry`], a caching [`serve::Session`] that pins one
-//! graph and amortizes its decomposition and scratch arenas across requests,
-//! and a [`serve::Fleet`] that shards sessions across threads.
+//! typed [`serve::Request`]/[`serve::Response`] problems, a descriptive
+//! solver [`serve::registry`] of every served `(problem, strategy)` pair, a
+//! caching [`serve::Session`] that pins one graph and amortizes its
+//! decomposition and scratch arenas across requests, and a [`serve::Fleet`]
+//! that shards sessions across threads.
 
 // Bracketed citation keys ([EN16], [GKM17], ...) are bibliography
 // references, not intra-doc links.

@@ -10,7 +10,7 @@
 //!   parallel) gathers its topology plus its frontier's already-fixed
 //!   outputs in `O(diameter)` rounds and extends greedily.
 
-use crate::algorithm::{node_seed, run_congest_protocol, AlgorithmRun, LocalAlgorithm};
+use crate::algorithm::{node_seed, run_congest_protocol, AlgorithmRun};
 use crate::checkers::{VerifyError, VerifyErrorKind};
 use crate::decomposition::types::Decomposition;
 use locality_graph::ids::IdAssignment;
@@ -391,9 +391,10 @@ impl BatchProtocol for LubyProtocol {
     }
 }
 
-/// Luby's MIS through the unified [`LocalAlgorithm`] interface, executed as
-/// a CONGEST protocol on the arena engine (so rounds/messages/random bits in
-/// the returned [`RoundStats`] are measured, not charged analytically).
+/// Luby's MIS executed as a CONGEST protocol on the arena engine (so
+/// rounds/messages/random bits in the returned
+/// [`RoundStats`](crate::algorithm::RoundStats) are measured, not charged
+/// analytically).
 #[derive(Debug, Clone, Copy)]
 pub struct LubyMis {
     /// Worker threads for node steps (`1` = sequential; `0` = all cores).
@@ -412,16 +413,15 @@ impl Default for LubyMis {
     }
 }
 
-impl LocalAlgorithm for LubyMis {
-    type Label = bool;
-
-    fn name(&self) -> &'static str {
-        "luby-mis"
-    }
-
-    fn run(&self, g: &Graph, ids: &IdAssignment, seed: u64) -> AlgorithmRun<bool> {
+impl LubyMis {
+    /// Run on `g` with identifiers `ids`, every node's randomness derived
+    /// (only) from `seed`; the stats are named `luby-mis`.
+    ///
+    /// # Panics
+    /// If `ids` does not match `g` or the run exceeds its round budget.
+    pub fn run(&self, g: &Graph, ids: &IdAssignment, seed: u64) -> AlgorithmRun<bool> {
         run_congest_protocol(
-            self.name(),
+            "luby-mis",
             g,
             ids,
             self.threads,

@@ -16,7 +16,6 @@ use super::session::Session;
 use super::store::StoreError;
 use locality_graph::Graph;
 use std::path::Path;
-use std::time::Instant;
 
 /// Bounded retry-with-backoff for [`Fleet::restore_or_new`]: how many
 /// times to re-attempt a failed snapshot read before falling back to a
@@ -67,10 +66,6 @@ pub enum RestoreOutcome {
     Restored {
         /// Cached decomposition slots recovered from the snapshot.
         slots: usize,
-        /// Wall time spent restoring (all attempts), in microseconds — so
-        /// the load harness can attribute startup latency to restore
-        /// versus solve.
-        elapsed_us: u64,
     },
     /// Every attempt failed; a cold session was built instead.
     Rebuilt {
@@ -78,9 +73,6 @@ pub enum RestoreOutcome {
         attempts: u32,
         /// The last error seen.
         error: StoreError,
-        /// Wall time spent attempting the restore (including backoff)
-        /// before falling back, in microseconds.
-        elapsed_us: u64,
     },
     /// No snapshot path was given for this graph.
     Fresh,
@@ -96,20 +88,6 @@ fn is_transient(e: &StoreError) -> bool {
             | StoreError::ChecksumMismatch { .. }
             | StoreError::BadMagic
     )
-}
-
-/// Wall time of one worker shard of a [`Fleet::solve_all_timed`] call:
-/// which contiguous run of sessions it served and how long it took, so a
-/// load harness can attribute batch latency to individual shards.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardTiming {
-    /// Index of the shard's first session.
-    pub first_session: usize,
-    /// Number of sessions the shard ran.
-    pub sessions: usize,
-    /// Wall time the shard spent solving its workloads, in microseconds.
-    pub elapsed_us: u64,
 }
 
 /// A set of independent serving sessions, one per graph, with a batched
@@ -163,19 +141,12 @@ impl Fleet {
             };
             let attempts_allowed = policy.attempts.max(1);
             let mut attempts = 0;
-            let start = Instant::now();
             let (session, outcome) = loop {
                 attempts += 1;
                 match Session::restore(graph.clone(), path) {
                     Ok(s) => {
                         let slots = s.decomp_slots().len();
-                        break (
-                            s,
-                            RestoreOutcome::Restored {
-                                slots,
-                                elapsed_us: start.elapsed().as_micros() as u64,
-                            },
-                        );
+                        break (s, RestoreOutcome::Restored { slots });
                     }
                     Err(e) if attempts < attempts_allowed && is_transient(&e) => {
                         if policy.backoff_ms > 0 {
@@ -187,11 +158,7 @@ impl Fleet {
                     Err(e) => {
                         break (
                             Session::new(graph),
-                            RestoreOutcome::Rebuilt {
-                                attempts,
-                                error: e,
-                                elapsed_us: start.elapsed().as_micros() as u64,
-                            },
+                            RestoreOutcome::Rebuilt { attempts, error: e },
                         )
                     }
                 }
@@ -251,21 +218,6 @@ impl Fleet {
         workloads: &[Vec<Request>],
         threads: usize,
     ) -> Vec<Vec<Result<Response, SolveError>>> {
-        self.solve_all_timed(workloads, threads).0
-    }
-
-    /// [`Fleet::solve_all`] plus per-shard wall time: the second element
-    /// holds one [`ShardTiming`] per worker shard, in session order. The
-    /// results are identical to [`Fleet::solve_all`]'s — timing is
-    /// observation only.
-    ///
-    /// # Panics
-    /// As [`Fleet::solve_all`].
-    pub fn solve_all_timed(
-        &mut self,
-        workloads: &[Vec<Request>],
-        threads: usize,
-    ) -> (Vec<Vec<Result<Response, SolveError>>>, Vec<ShardTiming>) {
         assert_eq!(
             workloads.len(),
             self.sessions.len(),
@@ -278,23 +230,9 @@ impl Fleet {
         let chunk = self.sessions.len().div_ceil(threads).max(1);
         let mut results: Vec<Vec<Result<Response, SolveError>>> =
             Vec::with_capacity(self.sessions.len());
-        let mut timings: Vec<ShardTiming> = Vec::new();
         if threads <= 1 || self.sessions.len() <= 1 {
-            for (first, (sessions, work)) in self
-                .sessions
-                .chunks_mut(chunk)
-                .zip(workloads.chunks(chunk))
-                .enumerate()
-            {
-                let start = Instant::now();
-                for (s, w) in sessions.iter_mut().zip(work) {
-                    results.push(s.solve_batch(w));
-                }
-                timings.push(ShardTiming {
-                    first_session: first * chunk,
-                    sessions: sessions.len(),
-                    elapsed_us: start.elapsed().as_micros() as u64,
-                });
+            for (s, w) in self.sessions.iter_mut().zip(workloads) {
+                results.push(s.solve_batch(w));
             }
         } else {
             std::thread::scope(|scope| {
@@ -302,24 +240,13 @@ impl Fleet {
                     .sessions
                     .chunks_mut(chunk)
                     .zip(workloads.chunks(chunk))
-                    .enumerate()
-                    .map(|(shard, (sessions, work))| {
+                    .map(|(sessions, work)| {
                         scope.spawn(move || {
-                            let start = Instant::now();
-                            let count = sessions.len();
-                            let out = sessions
+                            sessions
                                 .iter_mut()
                                 .zip(work)
                                 .map(|(s, w)| s.solve_batch(w))
-                                .collect::<Vec<_>>();
-                            (
-                                out,
-                                ShardTiming {
-                                    first_session: shard * chunk,
-                                    sessions: count,
-                                    elapsed_us: start.elapsed().as_micros() as u64,
-                                },
-                            )
+                                .collect::<Vec<_>>()
                         })
                     })
                     .collect();
@@ -329,10 +256,7 @@ impl Fleet {
                     // its release paths free of panic tokens —
                     // `tests/serve_no_panics.rs` pins this).
                     match h.join() {
-                        Ok((chunk_results, timing)) => {
-                            results.extend(chunk_results);
-                            timings.push(timing);
-                        }
+                        Ok(chunk_results) => results.extend(chunk_results),
                         Err(payload) => std::panic::resume_unwind(payload),
                     }
                 }
@@ -352,7 +276,7 @@ impl Fleet {
                 "determinism check: sharded fleet diverged from sequential replay"
             );
         }
-        (results, timings)
+        results
     }
 }
 
@@ -423,26 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_solve_matches_and_covers_every_session() {
-        let gs = graphs(5);
-        let workloads: Vec<Vec<Request>> = (0..gs.len()).map(|_| workload()).collect();
-        let mut plain = Fleet::new(gs.clone());
-        let expected = plain.solve_all(&workloads, 1);
-        for threads in [1usize, 2, 4] {
-            let mut fleet = Fleet::new(gs.clone());
-            let (got, timings) = fleet.solve_all_timed(&workloads, threads);
-            assert_eq!(got, expected, "threads={threads}");
-            // The shards partition the session range exactly, in order.
-            let mut next = 0;
-            for t in &timings {
-                assert_eq!(t.first_session, next);
-                next += t.sessions;
-            }
-            assert_eq!(next, gs.len(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn fleet_metrics_snapshot_folds_sessions() {
         let gs = graphs(3);
         let workloads: Vec<Vec<Request>> = (0..3).map(|_| workload()).collect();
@@ -461,39 +365,23 @@ mod tests {
     }
 
     #[test]
-    fn restore_outcomes_carry_wall_time() {
+    fn missing_snapshot_is_transient_and_retried_to_the_cap() {
         let gs = graphs(1);
         let path =
-            std::env::temp_dir().join(format!("locality-fleet-timing-{}.bin", std::process::id()));
-        let mut warm = Session::new(gs[0].clone());
-        warm.solve(&Request::decompose()).unwrap();
-        warm.persist(&path).unwrap();
-        let paths = [Some(path.clone())];
-        let (_, outcomes) = Fleet::restore_or_new(gs.clone(), &paths, RetryPolicy::default());
-        let _ = std::fs::remove_file(&path);
-        // Timing is measured (can legitimately be 0 µs on a fast disk);
-        // the variant itself is what matters.
+            std::env::temp_dir().join(format!("locality-fleet-missing-{}.bin", std::process::id()));
+        // A missing file is an Io error, which is transient: the policy's
+        // attempts all run before the fleet rebuilds cold.
+        let (_, outcomes) = Fleet::restore_or_new(gs, &[Some(path)], RetryPolicy::new(2, 0));
         assert!(
-            matches!(outcomes[0], RestoreOutcome::Restored { slots: 1, .. }),
+            matches!(
+                &outcomes[0],
+                RestoreOutcome::Rebuilt {
+                    attempts: 2,
+                    error: StoreError::Io { .. },
+                }
+            ),
             "got {:?}",
             outcomes[0]
-        );
-
-        // A missing file rebuilds; backoff time is included in the wall
-        // time. (Io errors are transient, so the policy's attempts all run.)
-        let (_, outcomes) = Fleet::restore_or_new(gs, &[Some(path)], RetryPolicy::new(2, 5));
-        let RestoreOutcome::Rebuilt {
-            attempts,
-            elapsed_us,
-            ..
-        } = &outcomes[0]
-        else {
-            panic!("got {:?}", outcomes[0]);
-        };
-        assert_eq!(*attempts, 2);
-        assert!(
-            *elapsed_us >= 5_000,
-            "backoff (5 ms) should dominate the measured {elapsed_us} µs"
         );
     }
 

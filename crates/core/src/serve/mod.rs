@@ -13,10 +13,11 @@
 //! - [`request`]: the typed problem layer — a [`Request`]/[`Response`] enum
 //!   pair whose variants carry `#[non_exhaustive]` option structs, plus the
 //!   structured [`SolveError`] (no stringly errors on the solver path);
-//! - [`registry`]: one [`SolverEntry`] of capability metadata per algorithm
-//!   (model, determinism, round-budget formula, needs-decomposition), so
-//!   [`Strategy`] selection is data-driven and the whole surface is
-//!   enumerable;
+//! - [`registry`]: one [`SolverEntry`] of capability metadata per served
+//!   `(problem, strategy)` pair (model, determinism, round-budget formula,
+//!   needs-decomposition), so the whole surface is enumerable; it describes,
+//!   while the session dispatches each [`Strategy`] with one exhaustive
+//!   match;
 //! - [`session`]: a [`Session`] pins one graph and lazily caches the
 //!   decomposition(s), the power-graph reduction plans, the PR 3/4 scratch
 //!   arenas, and the responses themselves — N mixed requests cost one
@@ -37,10 +38,10 @@ pub mod session;
 pub mod store;
 pub mod wire;
 
-pub use fleet::{Fleet, RestoreOutcome, RetryPolicy, ShardTiming};
+pub use fleet::{Fleet, RestoreOutcome, RetryPolicy};
 pub use http::{HttpConfig, HttpError, HttpServer};
 pub use metrics::{EndpointSnapshot, HttpMetrics, MetricsSnapshot};
-pub use registry::{entries, registry, resolve, Model, SolverEntry};
+pub use registry::{registry, Model, SolverEntry};
 pub use request::{
     ColoringOptions, DecompMethod, DecompProvenance, DecomposeOptions, DegradePolicy, MisOptions,
     ProblemKind, Request, Response, SlocalOptions, SlocalOutput, SlocalTask, SolveError, Strategy,

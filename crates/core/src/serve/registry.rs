@@ -1,13 +1,15 @@
 //! The solver registry: one [`SolverEntry`] of capability metadata per
-//! algorithm the serving layer can run, so strategy selection is
-//! data-driven and the whole surface is enumerable (the `experiments` bin's
-//! `s1` prints this table).
+//! `(problem, strategy)` pair the serving layer answers, so the whole
+//! served surface is enumerable (the `experiments` bin's `s1` prints this
+//! table).
 //!
-//! Entries are listed in preference order per problem; [`resolve`] maps
-//! [`Strategy::Auto`] to the problem's first non-reference entry (the
-//! deterministic decomposition-backed solver where one exists — a session
-//! amortizes the decomposition across requests, so it is the serving
-//! default).
+//! The registry describes; it does not dispatch. The
+//! [`Session`](super::Session) matches each request's [`Strategy`]
+//! exhaustively, and rows are listed in the order that mirrors its
+//! defaults: a problem's first row is what `Strategy::Auto` runs (for
+//! decompositions, what `DecompMethod::Auto` runs with determinism
+//! required), and the first non-deterministic decompose row is the
+//! randomized Auto tier.
 
 use super::request::{DecompMethod, ProblemKind, Strategy};
 
@@ -114,24 +116,20 @@ fn budget_verify(_n: usize) -> u64 {
     2
 }
 
-/// Enumerate the registry — every registered solver, in preference order
-/// per problem. The iterator shape keeps callers decoupled from the
-/// backing storage (today a static slice).
+/// The registry: every served `(problem, strategy)` pair, in preference
+/// order per problem (a problem's first row is what `Strategy::Auto` runs).
 ///
 /// # Example
 /// ```
-/// use locality_core::serve::{entries, ProblemKind};
+/// use locality_core::serve::{registry, ProblemKind, Strategy};
 ///
-/// let mis_strategies = entries()
+/// let mis: Vec<_> = registry()
+///     .iter()
 ///     .filter(|e| e.problem == ProblemKind::Mis)
-///     .count();
-/// assert!(mis_strategies >= 2);
+///     .collect();
+/// assert_eq!(mis.len(), 2);
+/// assert_eq!(mis[0].strategy, Strategy::ViaDecomposition);
 /// ```
-pub fn entries() -> impl Iterator<Item = &'static SolverEntry> {
-    registry().iter()
-}
-
-/// The registry, in preference order per problem.
 pub fn registry() -> &'static [SolverEntry] {
     const REGISTRY: &[SolverEntry] = &[
         SolverEntry {
@@ -157,17 +155,6 @@ pub fn registry() -> &'static [SolverEntry] {
             budget: "8*log2 n w.h.p.",
         },
         SolverEntry {
-            problem: ProblemKind::Mis,
-            strategy: Strategy::Reference,
-            method: None,
-            name: "mis/reference",
-            model: Model::Local,
-            deterministic: true,
-            needs_decomposition: true,
-            round_budget: budget_consumer,
-            budget: "as via-decomposition (quadratic work)",
-        },
-        SolverEntry {
             problem: ProblemKind::Coloring,
             strategy: Strategy::ViaDecomposition,
             method: None,
@@ -188,17 +175,6 @@ pub fn registry() -> &'static [SolverEntry] {
             needs_decomposition: false,
             round_budget: budget_trial,
             budget: "10*log2 n w.h.p.",
-        },
-        SolverEntry {
-            problem: ProblemKind::Coloring,
-            strategy: Strategy::Reference,
-            method: None,
-            name: "coloring/reference",
-            model: Model::Local,
-            deterministic: true,
-            needs_decomposition: true,
-            round_budget: budget_consumer,
-            budget: "as via-decomposition (quadratic work)",
         },
         SolverEntry {
             problem: ProblemKind::Decompose,
@@ -256,17 +232,6 @@ pub fn registry() -> &'static [SolverEntry] {
             budget: "sum_colors (weak-diam + 2r + 2)",
         },
         SolverEntry {
-            problem: ProblemKind::Slocal,
-            strategy: Strategy::Reference,
-            method: None,
-            name: "slocal/reference",
-            model: Model::Local,
-            deterministic: true,
-            needs_decomposition: true,
-            round_budget: budget_reduction,
-            budget: "as slocal/reduction (materialized G^k)",
-        },
-        SolverEntry {
             problem: ProblemKind::Verify,
             strategy: Strategy::Direct,
             method: None,
@@ -281,38 +246,36 @@ pub fn registry() -> &'static [SolverEntry] {
     REGISTRY
 }
 
-/// Resolve a `(problem, strategy)` pair against the registry. `Auto` picks
-/// the problem's first non-reference entry; explicit strategies must match
-/// an entry exactly. `None` means the pair is unsupported (the session maps
-/// it to [`SolveError::UnsupportedStrategy`](super::SolveError)).
-pub fn resolve(problem: ProblemKind, strategy: Strategy) -> Option<&'static SolverEntry> {
-    let mut entries = registry().iter().filter(|e| e.problem == problem);
-    match strategy {
-        Strategy::Auto => entries.find(|e| e.strategy != Strategy::Reference),
-        s => entries.find(|e| e.strategy == s),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The row a `(problem, strategy)` pair is served by: `Auto` is the
+    /// problem's first row, an explicit strategy its exact match.
+    fn row(problem: ProblemKind, strategy: Strategy) -> Option<&'static SolverEntry> {
+        let mut rows = registry().iter().filter(|e| e.problem == problem);
+        match strategy {
+            Strategy::Auto => rows.next(),
+            s => rows.find(|e| e.strategy == s),
+        }
+    }
+
     #[test]
     fn auto_prefers_the_deterministic_consumer() {
-        let e = resolve(ProblemKind::Mis, Strategy::Auto).unwrap();
+        let e = row(ProblemKind::Mis, Strategy::Auto).unwrap();
         assert_eq!(e.strategy, Strategy::ViaDecomposition);
         assert!(e.deterministic);
         assert!(e.needs_decomposition);
-        let c = resolve(ProblemKind::Coloring, Strategy::Auto).unwrap();
+        let c = row(ProblemKind::Coloring, Strategy::Auto).unwrap();
         assert_eq!(c.strategy, Strategy::ViaDecomposition);
     }
 
     #[test]
     fn explicit_strategies_resolve_or_reject() {
-        assert!(resolve(ProblemKind::Mis, Strategy::Direct).is_some());
-        assert!(resolve(ProblemKind::Mis, Strategy::Reference).is_some());
-        assert!(resolve(ProblemKind::Slocal, Strategy::Direct).is_none());
-        assert!(resolve(ProblemKind::Slocal, Strategy::ViaDecomposition).is_some());
+        assert!(row(ProblemKind::Mis, Strategy::Direct).is_some());
+        assert!(row(ProblemKind::Coloring, Strategy::Direct).is_some());
+        assert!(row(ProblemKind::Slocal, Strategy::Direct).is_none());
+        assert!(row(ProblemKind::Slocal, Strategy::ViaDecomposition).is_some());
     }
 
     #[test]

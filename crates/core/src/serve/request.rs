@@ -46,24 +46,25 @@ impl ProblemKind {
     }
 }
 
-/// How a solver request should be executed. Resolution against the
-/// [`registry`](super::registry::registry) is data-driven: `Auto` picks the
-/// problem's first non-reference entry (the deterministic
-/// decomposition-backed solver where one exists — a session amortizes the
-/// decomposition across requests, so it is the serving default).
+/// How a solver request should be executed. The
+/// [`Session`](super::Session) dispatches on it with one exhaustive match
+/// per problem: `Auto` runs the same solver as `ViaDecomposition` (the
+/// deterministic decomposition-backed route — a session amortizes the
+/// decomposition across requests, so it is the serving default), and a
+/// pair with no solver (SLOCAL `Direct`) is
+/// [`SolveError::UnsupportedStrategy`]. The
+/// [`registry`](super::registry::registry) lists the same pairs, first row
+/// per problem being what `Auto` runs.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// Let the registry choose (documented, deterministic choice).
+    /// The serving default: `ViaDecomposition`.
     Auto,
     /// The problem's direct algorithm (randomized where the paper's is).
     Direct,
     /// Consume a (cached) network decomposition — the paper's
     /// "decomposition ⇒ everything" route.
     ViaDecomposition,
-    /// The retained pre-optimization implementation (the differential
-    /// oracle; expensive, bit-identical outputs).
-    Reference,
 }
 
 /// Which construction produces a requested decomposition.
@@ -120,17 +121,6 @@ pub struct DecompProvenance {
     /// The estimated deterministic build time (milliseconds) that drove the
     /// degradation decision; `0` when no deadline was in force.
     pub estimated_ms: u64,
-}
-
-impl DecompProvenance {
-    /// Provenance for a non-degraded build of `method`.
-    pub fn direct(method: DecompMethod) -> Self {
-        Self {
-            method,
-            degraded: false,
-            estimated_ms: 0,
-        }
-    }
 }
 
 /// Options for a [`Request::Decompose`] (and for the decomposition consumed
@@ -238,7 +228,7 @@ pub struct MisOptions {
     /// Worker-thread budget for the decomposition consumer (`0` = all
     /// cores; outputs are bit-identical for every value).
     pub threads: usize,
-    /// Which decomposition backs `ViaDecomposition`/`Reference` runs.
+    /// Which decomposition backs `Auto`/`ViaDecomposition` runs.
     pub decomposition: DecomposeOptions,
 }
 
@@ -296,7 +286,7 @@ pub struct ColoringOptions {
     /// Worker-thread budget for the decomposition consumer (`0` = all
     /// cores; outputs are bit-identical for every value).
     pub threads: usize,
-    /// Which decomposition backs `ViaDecomposition`/`Reference` runs.
+    /// Which decomposition backs `Auto`/`ViaDecomposition` runs.
     pub decomposition: DecomposeOptions,
 }
 
@@ -383,8 +373,8 @@ impl SlocalTask {
 pub struct SlocalOptions {
     /// The SLOCAL algorithm to run through the reduction.
     pub task: SlocalTask,
-    /// Execution strategy: `Auto`/`ViaDecomposition` run the scaled
-    /// reduction; `Reference` replays the retained quadratic oracle.
+    /// Execution strategy: `Auto`/`ViaDecomposition` run the reduction;
+    /// SLOCAL has no `Direct` solver.
     pub strategy: Strategy,
     /// Worker-thread budget (`1` = sequential over the session's cached
     /// scratch arena — the default; `0` = all cores; bit-identical either
@@ -599,7 +589,7 @@ pub enum SolveError {
         /// What happened.
         detail: String,
     },
-    /// No registered solver matches the requested `(problem, strategy)`.
+    /// No solver answers the requested `(problem, strategy)` pair.
     UnsupportedStrategy {
         /// The problem asked about.
         problem: ProblemKind,

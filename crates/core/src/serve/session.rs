@@ -33,7 +33,6 @@
 //! Every cached path is bit-identical to the corresponding free function
 //! (`crates/core/tests/proptest_serve.rs` pins this differentially).
 
-use super::registry;
 use super::request::{
     ColoringOptions, DecompMethod, DecompProvenance, DecomposeOptions, DegradePolicy, MisOptions,
     ProblemKind, Request, Response, SlocalOptions, SlocalOutput, SlocalTask, SolveError, Strategy,
@@ -50,7 +49,7 @@ use locality_graph::edits::EditBatch;
 use locality_graph::metrics::{induced_diameter_with, DiameterScratch};
 use locality_graph::power::power_graph;
 use locality_graph::Graph;
-use locality_rand::source::PrngSource;
+use locality_rand::source::{BitSource, PrngSource};
 use locality_sim::cost::CostMeter;
 use locality_sim::slocal::{BallView, SlocalRunner, SlocalScratch};
 use std::sync::Arc;
@@ -238,12 +237,11 @@ pub(crate) struct CachedAnswer {
 struct PowerSlot {
     r: u32,
     decomposition: Decomposition,
-    /// Built lazily: only the fast reduction path consults it — a
-    /// `Reference`-only session never pays the plan's weak-diameter sweeps.
-    plan: Option<slocal::ReductionPlan>,
+    plan: slocal::ReductionPlan,
     /// Set by [`Session::apply_edits`]: the carved power decomposition may
     /// no longer be valid for the edited graph's power, so the next use
-    /// revalidates it (and re-carves only if revalidation fails).
+    /// revalidates it (and re-carves only if revalidation fails) and
+    /// rebuilds the plan, which encodes graph distances.
     stale: bool,
 }
 
@@ -565,7 +563,6 @@ impl Session {
         self.decomps = repaired;
         for slot in &mut self.powers {
             slot.stale = true;
-            slot.plan = None;
             stats.power_slots_stale += 1;
         }
         let before = self.responses.len();
@@ -597,15 +594,9 @@ impl Session {
     }
 
     fn compute_mis(&mut self, opts: &MisOptions) -> Result<Response, SolveError> {
-        let entry = registry::resolve(ProblemKind::Mis, opts.strategy).ok_or(
-            SolveError::UnsupportedStrategy {
-                problem: ProblemKind::Mis,
-                strategy: opts.strategy,
-            },
-        )?;
-        let out = match entry.strategy {
+        let out = match opts.strategy {
             Strategy::Direct => mis::luby(&self.graph, &mut PrngSource::seeded(opts.seed)),
-            Strategy::ViaDecomposition => {
+            Strategy::Auto | Strategy::ViaDecomposition => {
                 let i = self.ensure_decomposition(&opts.decomposition)?;
                 let slot = &self.decomps[i];
                 mis::consume_with_plan(
@@ -615,15 +606,6 @@ impl Session {
                     consume::resolve_threads(opts.threads),
                 )
             }
-            Strategy::Reference => {
-                let i = self.ensure_decomposition(&opts.decomposition)?;
-                mis::reference_via_decomposition(&self.graph, &self.decomps[i].decomposition)
-            }
-            Strategy::Auto => {
-                return Err(SolveError::Internal {
-                    context: "registry::resolve returned Strategy::Auto for MIS",
-                })
-            }
         };
         Ok(Response::Mis {
             in_mis: out.in_mis,
@@ -632,17 +614,11 @@ impl Session {
     }
 
     fn compute_coloring(&mut self, opts: &ColoringOptions) -> Result<Response, SolveError> {
-        let entry = registry::resolve(ProblemKind::Coloring, opts.strategy).ok_or(
-            SolveError::UnsupportedStrategy {
-                problem: ProblemKind::Coloring,
-                strategy: opts.strategy,
-            },
-        )?;
-        let out = match entry.strategy {
+        let out = match opts.strategy {
             Strategy::Direct => {
                 coloring::random_coloring(&self.graph, &mut PrngSource::seeded(opts.seed))
             }
-            Strategy::ViaDecomposition => {
+            Strategy::Auto | Strategy::ViaDecomposition => {
                 let i = self.ensure_decomposition(&opts.decomposition)?;
                 let slot = &self.decomps[i];
                 coloring::consume_with_plan(
@@ -651,15 +627,6 @@ impl Session {
                     &slot.plan,
                     consume::resolve_threads(opts.threads),
                 )
-            }
-            Strategy::Reference => {
-                let i = self.ensure_decomposition(&opts.decomposition)?;
-                coloring::reference_via_decomposition(&self.graph, &self.decomps[i].decomposition)
-            }
-            Strategy::Auto => {
-                return Err(SolveError::Internal {
-                    context: "registry::resolve returned Strategy::Auto for coloring",
-                })
             }
         };
         Ok(Response::Coloring {
@@ -670,35 +637,31 @@ impl Session {
     }
 
     fn compute_slocal(&mut self, opts: &SlocalOptions) -> Result<Response, SolveError> {
-        let entry = registry::resolve(ProblemKind::Slocal, opts.strategy).ok_or(
-            SolveError::UnsupportedStrategy {
-                problem: ProblemKind::Slocal,
-                strategy: opts.strategy,
-            },
-        )?;
-        let r = opts.task.locality();
-        let reference = entry.strategy == Strategy::Reference;
-        let pi = self.ensure_power(r, !reference)?;
-        let (output, rounds) = match opts.task {
+        match opts.strategy {
+            Strategy::Auto | Strategy::ViaDecomposition => {}
+            Strategy::Direct => {
+                return Err(SolveError::UnsupportedStrategy {
+                    problem: ProblemKind::Slocal,
+                    strategy: opts.strategy,
+                })
+            }
+        }
+        let pi = self.ensure_power(opts.task.locality())?;
+        let threads = opts.threads;
+        let output = match opts.task {
             SlocalTask::GreedyMis => {
-                let (out, rounds) =
-                    self.run_reduction(pi, r, opts.threads, reference, greedy_mis_step)?;
-                (SlocalOutput::Flags(out), rounds)
+                SlocalOutput::Flags(self.run_reduction(pi, threads, greedy_mis_step))
             }
             SlocalTask::GreedyColoring => {
-                let (out, rounds) =
-                    self.run_reduction(pi, r, opts.threads, reference, greedy_coloring_step)?;
-                (SlocalOutput::Colors(out), rounds)
+                SlocalOutput::Colors(self.run_reduction(pi, threads, greedy_coloring_step))
             }
             SlocalTask::DistanceTwoColoring => {
-                let (out, rounds) =
-                    self.run_reduction(pi, r, opts.threads, reference, distance_two_coloring_step)?;
-                (SlocalOutput::Colors(out), rounds)
+                SlocalOutput::Colors(self.run_reduction(pi, threads, distance_two_coloring_step))
             }
         };
         Ok(Response::Slocal {
             output,
-            meter: CostMeter::rounds_only(rounds),
+            meter: CostMeter::rounds_only(self.powers[pi].plan.rounds),
         })
     }
 
@@ -724,14 +687,7 @@ impl Session {
     /// default) executes sequentially over the session's own scratch arena;
     /// larger budgets delegate to the bucket-parallel sweep; both are
     /// bit-identical to the free functions (and to each other).
-    fn run_reduction<T, F>(
-        &mut self,
-        pi: usize,
-        r: u32,
-        threads: usize,
-        reference: bool,
-        step: F,
-    ) -> Result<(Vec<T>, u64), SolveError>
+    fn run_reduction<T, F>(&mut self, pi: usize, threads: usize, step: F) -> Vec<T>
     where
         T: Send + Sync,
         F: Fn(&BallView<'_, T>) -> T + Sync,
@@ -742,25 +698,17 @@ impl Session {
             slocal_scratch,
             ..
         } = self;
-        let slot = &powers[pi];
-        if reference {
-            let out =
-                slocal::reference_run_slocal_via_decomposition(graph, r, &slot.decomposition, step);
-            return Ok((out.outputs, out.meter.rounds));
-        }
-        let Some(plan) = slot.plan.as_ref() else {
-            return Err(SolveError::Internal {
-                context: "ensure_power left a non-reference run without a reduction plan",
-            });
-        };
+        let PowerSlot {
+            r,
+            decomposition,
+            plan,
+            ..
+        } = &powers[pi];
         if consume::resolve_threads(threads) <= 1 {
-            let runner = SlocalRunner::new(graph, r);
-            let (outputs, _stats) = runner.run_with(slocal_scratch, &plan.order, step);
-            Ok((outputs, plan.rounds))
+            let runner = SlocalRunner::new(graph, *r);
+            runner.run_with(slocal_scratch, &plan.order, step).0
         } else {
-            let outputs =
-                slocal::reduction_with_plan(graph, r, &slot.decomposition, plan, threads, &step);
-            Ok((outputs, plan.rounds))
+            slocal::reduction_with_plan(graph, *r, decomposition, plan, threads, &step)
         }
     }
 
@@ -883,12 +831,14 @@ impl Session {
                     let r = ball_carving_decomposition(&self.graph, &[]);
                     (r.decomposition, CostMeter::rounds_only(0))
                 } else {
-                    let out =
-                        mpx_partition(&self.graph, MPX_BETA, &mut PrngSource::seeded(opts.seed));
+                    let mut src = PrngSource::seeded(opts.seed);
+                    let out = mpx_partition(&self.graph, MPX_BETA, &mut src);
                     // One shifted BFS sweep: rounds ~ the largest shift
                     // (the cluster-radius scale), plus the final gather.
-                    let rounds = out.max_shift.ceil().max(0.0) as u64 + 1;
-                    (out.decomposition, CostMeter::rounds_only(rounds))
+                    let mut meter =
+                        CostMeter::rounds_only(out.max_shift.ceil().max(0.0) as u64 + 1);
+                    meter.random_bits = src.bits_drawn();
+                    (out.decomposition, meter)
                 }
             }
             DecompMethod::ElkinNeiman => {
@@ -930,11 +880,11 @@ impl Session {
         Ok(self.decomps.len() - 1)
     }
 
-    /// The cached power-graph slot for locality `r`, carving `G^{2r+1}` on
-    /// first use. The reduction plan — the expensive weak-diameter sweep —
-    /// is built only when `need_plan` (the fast path consults it; the
-    /// reference path re-derives everything internally).
-    fn ensure_power(&mut self, r: u32, need_plan: bool) -> Result<usize, SolveError> {
+    /// The cached power-graph slot for locality `r`, carving `G^{2r+1}` and
+    /// building its reduction plan (the weak-diameter sweep) on first use,
+    /// and revalidating both once [`Session::apply_edits`] marked the slot
+    /// stale.
+    fn ensure_power(&mut self, r: u32) -> Result<usize, SolveError> {
         let Session {
             graph,
             powers,
@@ -942,49 +892,42 @@ impl Session {
             stats,
             ..
         } = self;
-        let idx = match powers.iter().position(|s| s.r == r) {
-            Some(i) => i,
-            None => {
-                let gp = power_graph(graph, 2 * r + 1);
-                let order: Vec<usize> = (0..gp.node_count()).collect();
-                let decomposition = ball_carving_decomposition(&gp, &order).decomposition;
-                powers.push(PowerSlot {
-                    r,
-                    decomposition,
-                    plan: None,
-                    stale: false,
-                });
-                powers.len() - 1
-            }
+        let carve = |graph: &Graph| {
+            let gp = power_graph(graph, 2 * r + 1);
+            let order: Vec<usize> = (0..gp.node_count()).collect();
+            ball_carving_decomposition(&gp, &order).decomposition
+        };
+        let Some(idx) = powers.iter().position(|s| s.r == r) else {
+            let decomposition = carve(graph);
+            let plan = slocal::plan_reduction_with(graph, r, &decomposition, diam_scratch)?;
+            stats.power_plans_built += 1;
+            powers.push(PowerSlot {
+                r,
+                decomposition,
+                plan,
+                stale: false,
+            });
+            return Ok(powers.len() - 1);
         };
         let slot = &mut powers[idx];
-        if slot.stale {
-            // The graph changed under this slot: keep the carved power
-            // decomposition if it is still a weak decomposition of the new
-            // `G^{2r+1}` (edits far from its clusters usually leave it
-            // valid), otherwise carve afresh.
-            if slot
-                .decomposition
-                .validate_weak_power(graph, 2 * r + 1)
-                .is_err()
-            {
-                let gp = power_graph(graph, 2 * r + 1);
-                let order: Vec<usize> = (0..gp.node_count()).collect();
-                slot.decomposition = ball_carving_decomposition(&gp, &order).decomposition;
-            }
-            slot.stale = false;
+        if !slot.stale {
+            stats.power_plan_hits += 1;
+            return Ok(idx);
         }
-        if need_plan {
-            let slot = &mut powers[idx];
-            if slot.plan.is_some() {
-                stats.power_plan_hits += 1;
-            } else {
-                let plan =
-                    slocal::plan_reduction_with(graph, r, &slot.decomposition, diam_scratch)?;
-                slot.plan = Some(plan);
-                stats.power_plans_built += 1;
-            }
+        // The graph changed under this slot: keep the carved power
+        // decomposition if it is still a weak decomposition of the new
+        // `G^{2r+1}` (edits far from its clusters usually leave it valid),
+        // otherwise carve afresh.
+        if slot
+            .decomposition
+            .validate_weak_power(graph, 2 * r + 1)
+            .is_err()
+        {
+            slot.decomposition = carve(graph);
         }
+        slot.plan = slocal::plan_reduction_with(graph, r, &slot.decomposition, diam_scratch)?;
+        slot.stale = false;
+        stats.power_plans_built += 1;
         Ok(idx)
     }
 }
@@ -992,6 +935,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::registry::{registry, SolverEntry};
     use locality_rand::prng::SplitMix64;
 
     fn small_graph() -> Graph {
@@ -1088,14 +1032,98 @@ mod tests {
     #[test]
     fn reference_strategy_is_bit_identical() {
         let g = small_graph();
-        let mut s = Session::new(g);
+        let mut s = Session::new(g.clone());
         let fast = s.solve(&Request::Mis(MisOptions::new())).unwrap().clone();
-        let reference = s
-            .solve(&Request::Mis(
-                MisOptions::new().with_strategy(Strategy::Reference),
-            ))
-            .unwrap();
-        assert_eq!(&fast, reference);
+        let d = s.decomposition(&DecomposeOptions::new()).unwrap();
+        let reference = mis::reference_via_decomposition(&g, d);
+        assert_eq!(
+            fast,
+            Response::Mis {
+                in_mis: reference.in_mis,
+                meter: reference.meter,
+            }
+        );
+    }
+
+    /// The request a registry row describes, on a session pinning `g`.
+    fn row_request(e: &SolverEntry, g: &Graph) -> Request {
+        match e.problem {
+            ProblemKind::Mis => Request::Mis(MisOptions::new().with_strategy(e.strategy)),
+            ProblemKind::Coloring => {
+                Request::Coloring(ColoringOptions::new().with_strategy(e.strategy))
+            }
+            ProblemKind::Decompose => Request::Decompose(
+                DecomposeOptions::new()
+                    .with_method(e.method.expect("decompose rows name a method")),
+            ),
+            ProblemKind::Slocal => {
+                Request::Slocal(SlocalOptions::new(SlocalTask::GreedyMis).with_strategy(e.strategy))
+            }
+            ProblemKind::Verify => Request::verify_mis(vec![false; g.node_count()]),
+        }
+    }
+
+    #[test]
+    fn every_registry_row_is_served_and_auto_is_the_first_row() {
+        let g = small_graph();
+        let mut s = Session::new(g.clone());
+        for e in registry() {
+            let answer = s.solve(&row_request(e, &g));
+            let Ok(response) = answer else {
+                panic!("{}: {answer:?}", e.name);
+            };
+            if let Response::Decompose { provenance, .. } = response {
+                assert_eq!(Some(provenance.method), e.method, "{}", e.name);
+            }
+        }
+        let auto = [
+            Request::mis(),
+            Request::coloring(),
+            Request::decompose(),
+            Request::slocal(SlocalTask::GreedyMis),
+        ];
+        for request in &auto {
+            let first = registry()
+                .iter()
+                .find(|e| e.problem == request.kind())
+                .unwrap();
+            let want = s.solve(&row_request(first, &g)).unwrap().clone();
+            assert_eq!(s.solve(request).unwrap(), &want, "Auto is {}", first.name);
+        }
+        let direct = SlocalOptions::new(SlocalTask::GreedyMis).with_strategy(Strategy::Direct);
+        assert!(matches!(
+            s.solve(&Request::Slocal(direct)),
+            Err(SolveError::UnsupportedStrategy {
+                problem: ProblemKind::Slocal,
+                strategy: Strategy::Direct,
+            })
+        ));
+    }
+
+    #[test]
+    fn served_mpx_answers_report_the_random_bits_drawn() {
+        let g = small_graph();
+        let mut src = PrngSource::seeded(7);
+        let free = mpx_partition(&g, MPX_BETA, &mut src);
+        assert_eq!(src.bits_drawn(), 64 * g.node_count() as u64);
+        let explicit = DecomposeOptions::new()
+            .with_method(DecompMethod::Mpx)
+            .with_seed(7);
+        let auto = DecomposeOptions::new()
+            .with_require_deterministic(false)
+            .with_seed(7);
+        for opts in [explicit, auto] {
+            let mut s = Session::new(g.clone());
+            let Response::Decompose {
+                meter, provenance, ..
+            } = s.solve(&Request::Decompose(opts)).unwrap().clone()
+            else {
+                panic!()
+            };
+            assert_eq!(provenance.method, DecompMethod::Mpx);
+            assert_eq!(meter.random_bits, src.bits_drawn(), "{opts:?}");
+            assert_eq!(s.decomposition(&opts).unwrap(), &free.decomposition);
+        }
     }
 
     #[test]
@@ -1119,24 +1147,6 @@ mod tests {
         assert_eq!(s.solve(&bad).unwrap_err(), err);
         assert_eq!(s.stats().solver_runs, runs, "failing request re-ran");
         assert_eq!(s.stats().response_hits, 1);
-    }
-
-    #[test]
-    fn reference_only_slocal_skips_the_reduction_plan() {
-        let mut s = Session::new(Graph::grid(6, 6));
-        s.solve(&Request::Slocal(
-            SlocalOptions::new(SlocalTask::GreedyMis).with_strategy(Strategy::Reference),
-        ))
-        .unwrap();
-        assert_eq!(
-            s.stats().power_plans_built,
-            0,
-            "the reference oracle never consults the fast-path plan"
-        );
-        // A fast request on the same locality reuses the carved power
-        // decomposition and builds the plan exactly once.
-        s.solve(&Request::slocal(SlocalTask::GreedyMis)).unwrap();
-        assert_eq!(s.stats().power_plans_built, 1);
     }
 
     #[test]
@@ -1206,15 +1216,21 @@ mod tests {
             .solve(&Request::slocal(SlocalTask::GreedyMis))
             .unwrap()
             .clone();
-        for req in [
-            Request::Slocal(SlocalOptions::new(SlocalTask::GreedyMis).with_threads(4)),
-            Request::Slocal(
-                SlocalOptions::new(SlocalTask::GreedyMis).with_strategy(Strategy::Reference),
-            ),
-        ] {
-            let got = s.solve(&req).unwrap();
-            assert_eq!(&base, got);
-        }
+        let threaded = Request::Slocal(SlocalOptions::new(SlocalTask::GreedyMis).with_threads(4));
+        assert_eq!(&base, s.solve(&threaded).unwrap());
+        let reference = slocal::reference_run_slocal_via_decomposition(
+            s.graph(),
+            1,
+            &s.powers[0].decomposition,
+            greedy_mis_step,
+        );
+        assert_eq!(
+            base,
+            Response::Slocal {
+                output: SlocalOutput::Flags(reference.outputs),
+                meter: reference.meter,
+            }
+        );
     }
 
     /// A batch toggling one absent and one present edge of `g`.

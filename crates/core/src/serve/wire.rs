@@ -224,7 +224,6 @@ fn decode_request(c: &mut Cursor<'_>) -> Result<Request, WireError> {
                         "auto" => Strategy::Auto,
                         "direct" => Strategy::Direct,
                         "via_decomposition" => Strategy::ViaDecomposition,
-                        "reference" => Strategy::Reference,
                         _ => {
                             return Err(WireError::UnknownName {
                                 field: "strategy",
@@ -356,7 +355,6 @@ fn strategy_name(s: Strategy) -> &'static str {
         Strategy::Auto => "auto",
         Strategy::Direct => "direct",
         Strategy::ViaDecomposition => "via_decomposition",
-        Strategy::Reference => "reference",
     }
 }
 
@@ -718,6 +716,10 @@ mod tests {
             (&br#"{"request": {"kind": "sudoku"}}"#[..], "kind"),
             (
                 &br#"{"request": {"kind": "mis", "strategy": "x"}}"#[..],
+                "strategy",
+            ),
+            (
+                &br#"{"request": {"kind": "slocal", "strategy": "reference"}}"#[..],
                 "strategy",
             ),
             (

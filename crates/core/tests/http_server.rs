@@ -169,6 +169,18 @@ fn routes_and_typed_statuses() {
     let (status, body) = c.post_solve("{\"graph\": 0, \"request\": {\"kind\": \"mis\"}}");
     assert_eq!(status, 200);
     assert!(body.contains("\"ok\": true"), "{body}");
+
+    // A test oracle is not a served strategy: "reference" is an unknown
+    // name, rejected as a bad body before any solver runs.
+    let (_, scraped) = c.get("/metrics");
+    let runs = scraped_int(&scraped, "solver_runs");
+    let (status, body) = c.post_solve(
+        "{\"graph\": 0, \"request\": {\"kind\": \"slocal\", \"strategy\": \"reference\"}}",
+    );
+    assert_eq!(status, 400);
+    assert!(body.contains("\"bad_body\""), "{body}");
+    let (_, scraped) = c.get("/metrics");
+    assert_eq!(scraped_int(&scraped, "solver_runs"), runs, "{scraped}");
     server.shutdown();
 }
 

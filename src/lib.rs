@@ -45,7 +45,7 @@ pub use locality_sim as sim;
 
 /// The most frequently used items across the workspace.
 pub mod prelude {
-    pub use locality_core::algorithm::{AlgorithmRun, LocalAlgorithm, RoundStats};
+    pub use locality_core::algorithm::{AlgorithmRun, RoundStats};
     pub use locality_core::boost::{boosted_decomposition, BoostConfig};
     pub use locality_core::checkers;
     pub use locality_core::coloring;
@@ -58,11 +58,11 @@ pub mod prelude {
     pub use locality_core::mis;
     pub use locality_core::ruling::{ruling_set, RulingSetParams};
     pub use locality_core::serve::{
-        entries, ColoringOptions, CostProbe, DecompMethod, DecompProvenance, DecomposeOptions,
+        ColoringOptions, CostProbe, DecompMethod, DecompProvenance, DecomposeOptions,
         DegradePolicy, Fleet, HttpConfig, HttpError, HttpServer, MetricsSnapshot, MisOptions,
         ProblemKind, RepairStats, ReplyMode, Request, Response, RestoreOutcome, RetryPolicy,
-        Session, SessionStats, ShardTiming, SlocalOptions, SlocalOutput, SlocalTask, SolveError,
-        SolverEntry, StoreError, Strategy, VerifyReport, VerifyRequest, WireError,
+        Session, SessionStats, SlocalOptions, SlocalOutput, SlocalTask, SolveError, SolverEntry,
+        StoreError, Strategy, VerifyReport, VerifyRequest, WireError,
     };
     pub use locality_core::shared::{shared_randomness_decomposition, SharedDecompConfig};
     pub use locality_core::sparse::{sparse_randomness_decomposition, SparsePipelineConfig};
