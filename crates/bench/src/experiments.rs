@@ -1211,7 +1211,8 @@ fn s1_serve_workload() -> Result<Record, ExperimentError> {
     for e in registry() {
         t.row(cells![
             e.name,
-            format!("{:?}", e.strategy),
+            e.strategy
+                .map_or_else(|| "-".to_string(), |s| format!("{s:?}")),
             e.model.name(),
             e.deterministic,
             e.needs_decomposition,

@@ -135,23 +135,15 @@ pub fn via_decomposition(g: &Graph, d: &Decomposition) -> ColoringOutcome {
 }
 
 /// [`via_decomposition`] with an explicit thread count (`0` = all available).
-/// Under the `determinism-checks` cargo feature each call re-runs
-/// single-threaded and asserts bit-identical output.
+/// Under the `determinism-checks` cargo feature each multi-threaded call
+/// re-runs single-threaded and asserts bit-identical output.
 ///
 /// # Panics
 /// Panics if `d` is not a valid decomposition of `g`.
 pub fn via_decomposition_threads(g: &Graph, d: &Decomposition, threads: usize) -> ColoringOutcome {
-    let result = coloring_consume(g, d, crate::consume::resolve_threads(threads));
-    #[cfg(feature = "determinism-checks")]
-    {
-        let sequential = coloring_consume(g, d, 1);
-        assert_eq!(
-            result.colors, sequential.colors,
-            "determinism check: parallel coloring consumer diverged from sequential"
-        );
-        assert_eq!(result.meter, sequential.meter);
-    }
-    result
+    let threads = crate::consume::resolve_threads(threads);
+    let plan = crate::consume::plan_consumer(g, d).expect("decomposition must be valid"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
+    consume_with_plan(g, d, &plan, threads)
 }
 
 /// Per-thread greedy state: an epoch-stamped "color taken" buffer over the
@@ -170,11 +162,6 @@ impl MexBuf {
     }
 }
 
-fn coloring_consume(g: &Graph, d: &Decomposition, threads: usize) -> ColoringOutcome {
-    let plan = crate::consume::plan_consumer(g, d).expect("decomposition must be valid"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-    consume_with_plan(g, d, &plan, threads)
-}
-
 /// The plan-reusing form of the deterministic consumer (see
 /// [`crate::mis::consume_with_plan`]): the serving session validates the
 /// decomposition once and replays the cached plan across requests.
@@ -185,67 +172,35 @@ pub(crate) fn consume_with_plan(
     plan: &crate::consume::ConsumerPlan,
     threads: usize,
 ) -> ColoringOutcome {
-    let clustering = d.clustering();
-    let n = g.node_count();
     let palette = g.max_degree() + 1;
-    let mut colors: Vec<Option<usize>> = vec![None; n];
-    let mut meter = CostMeter::default();
-
-    for (_, clusters) in &plan.classes {
-        let class_diam = clusters
-            .iter()
-            .map(|&c| u64::from(plan.diam[c as usize]))
-            .max()
-            .unwrap_or(0);
-        let members_total: usize = clusters
-            .iter()
-            .map(|&c| clustering.members(c as usize).len())
-            .sum();
-        let parallel = members_total >= crate::consume::PARALLEL_MIN_MEMBERS;
-        let staged = crate::consume::process_clusters(
-            clusters,
-            threads,
-            parallel,
-            || MexBuf::new(palette),
-            &|mex: &mut MexBuf, c, out: &mut Vec<(u32, u32)>| {
-                let base = out.len();
-                for &v in clustering.members(c as usize) {
-                    mex.epoch += 1;
-                    for &u in g.neighbors(v) {
-                        // Final colors of previous classes, or staged colors
-                        // of this cluster's earlier members (same-color
-                        // clusters are non-adjacent, so nothing else counts).
-                        let taken = colors[u].or_else(|| {
-                            out[base..]
-                                .binary_search_by_key(&(u as u32), |&(w, _)| w)
-                                .ok()
-                                .map(|i| out[base + i].1 as usize)
-                        });
-                        if let Some(t) = taken {
-                            mex.stamp[t] = mex.epoch;
-                        }
-                    }
-                    let free = (0..palette)
-                        .find(|&cand| mex.stamp[cand] != mex.epoch)
-                        .expect("palette ∆+1 suffices for greedy"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-                    out.push((v as u32, free as u32));
+    let step = |mex: &mut MexBuf, frozen: &[Option<usize>], members: &[usize], out: &mut Vec<_>| {
+        let base = out.len();
+        for &v in members {
+            mex.epoch += 1;
+            for &u in g.neighbors(v) {
+                // Final colors of previous classes, or staged colors of this
+                // cluster's earlier members (same-color clusters are
+                // non-adjacent, so nothing else counts).
+                let taken = frozen[u].or_else(|| {
+                    out[base..]
+                        .binary_search_by_key(&(u as u32), |&(w, _)| w)
+                        .ok()
+                        .map(|i| out[base + i].1)
+                });
+                if let Some(t) = taken {
+                    mex.stamp[t] = mex.epoch;
                 }
-            },
-        );
-        for bucket in staged {
-            for (v, c) in bucket {
-                colors[v as usize] = Some(c as usize);
             }
+            let free = (0..palette)
+                .find(|&cand| mex.stamp[cand] != mex.epoch)
+                .expect("palette ∆+1 suffices for greedy"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
+            out.push((v as u32, free));
         }
-        meter.rounds += 2 * class_diam + 2;
-    }
-
+    };
+    let colors = crate::consume::sweep(d, &plan.classes, threads, &|| MexBuf::new(palette), &step);
     ColoringOutcome {
-        colors: colors
-            .into_iter()
-            .map(|c| c.expect("all colored")) // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-            .collect(),
-        meter,
+        colors,
+        meter: CostMeter::rounds_only(plan.rounds()),
     }
 }
 

@@ -1,6 +1,8 @@
 //! Shared machinery of the decomposition *consumers* (deterministic MIS,
-//! coloring, and the SLOCAL→LOCAL reduction): validation-with-reuse and the
-//! fixed-bucket parallel sweep over one color class's clusters.
+//! coloring, and the SLOCAL→LOCAL reduction): the validated
+//! [`ConsumerPlan`], which the round bill and the quality report are both
+//! derived from, and the one color-class [`sweep`] all three run, each
+//! supplying only its per-cluster step.
 //!
 //! The theorem itself grants the parallelism: same-color clusters of a valid
 //! decomposition are non-adjacent (properness), so processing them
@@ -12,17 +14,17 @@
 //! affects any observable value — outputs are bit-identical for every thread
 //! count.
 
-use crate::decomposition::types::{DecompError, Decomposition};
+use crate::decomposition::types::{Adjacency, DecompError, DecompQuality, Decomposition};
 use locality_graph::metrics::{induced_diameter_with, DiameterScratch};
 use locality_graph::Graph;
 
 /// Number of fixed cluster buckets per color class (bucket boundaries — and
 /// hence staged-output merge order — are independent of thread count).
-pub(crate) const BUCKETS: usize = 64;
+const BUCKETS: usize = 64;
 
 /// Below this many member nodes in a color class the clusters are processed
 /// on the calling thread: scoped-thread setup costs more than the work.
-pub(crate) const PARALLEL_MIN_MEMBERS: usize = 4096;
+const PARALLEL_MIN_MEMBERS: usize = 4096;
 
 /// Resolve a `threads` argument (`0` = all available cores).
 pub(crate) fn resolve_threads(threads: usize) -> usize {
@@ -44,6 +46,38 @@ pub(crate) struct ConsumerPlan {
     pub diam: Vec<u32>,
 }
 
+impl ConsumerPlan {
+    /// The plan of `d` whose cluster `c` has induced diameter `diam[c]`.
+    pub(crate) fn new(d: &Decomposition, diam: Vec<u32>) -> Self {
+        Self {
+            classes: group_by_color(d),
+            diam,
+        }
+    }
+
+    /// The quality report of the planned decomposition.
+    pub(crate) fn quality(&self) -> DecompQuality {
+        DecompQuality {
+            colors: self.classes.len(),
+            max_diameter: self.diam.iter().copied().max().unwrap_or(0),
+            clusters: self.diam.len(),
+        }
+    }
+
+    /// The round bill of a consumer sweep over this plan: per color class,
+    /// `2·(max cluster diameter) + 2` (gather, decide, report), as in the
+    /// standard completeness argument.
+    pub(crate) fn rounds(&self) -> u64 {
+        self.classes
+            .iter()
+            .map(|(_, clusters)| {
+                let diam = clusters.iter().map(|&c| self.diam[c as usize]).max();
+                2 * u64::from(diam.unwrap_or(0)) + 2
+            })
+            .sum()
+    }
+}
+
 /// Validate `d` against `g` exactly as [`Decomposition::validate`] does,
 /// but keep the per-cluster induced diameters (the consumers charge
 /// `O(max diameter)` rounds per color; the exact diameters are still the
@@ -61,41 +95,11 @@ pub(crate) fn plan_consumer_with(
     d: &Decomposition,
     scratch: &mut DiameterScratch,
 ) -> Result<ConsumerPlan, DecompError> {
-    let clustering = d.clustering();
-    if clustering.node_count() != g.node_count() {
-        return Err(DecompError::WrongGraph {
-            got: clustering.node_count(),
-            expected: g.node_count(),
-        });
-    }
-    if let Some(&node) = clustering.unclustered().first() {
-        return Err(DecompError::UnclusteredNode { node });
-    }
-    let k = clustering.cluster_count();
-    let mut diam = Vec::with_capacity(k);
-    for c in 0..k {
-        match induced_diameter_with(g, clustering.members(c), scratch) {
-            Some(x) => diam.push(x),
-            None => return Err(DecompError::DisconnectedCluster { cluster: c }),
-        }
-    }
-    for (u, v) in g.edges() {
-        let (cu, cv) = (
-            clustering.cluster_of(u).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-            clustering.cluster_of(v).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-        );
-        if cu != cv && d.color_of_cluster(cu) == d.color_of_cluster(cv) {
-            return Err(DecompError::AdjacentSameColor {
-                a: cu,
-                b: cv,
-                color: d.color_of_cluster(cu),
-            });
-        }
-    }
-    Ok(ConsumerPlan {
-        classes: group_by_color(d),
-        diam,
-    })
+    let mut diam = Vec::with_capacity(d.clustering().cluster_count());
+    d.check(g, Adjacency::Graph, |members| {
+        induced_diameter_with(g, members, scratch).map(|x| diam.push(x))
+    })?;
+    Ok(ConsumerPlan::new(d, diam))
 }
 
 /// The pre-rewrite validator, verbatim in cost and behavior: a fresh
@@ -152,14 +156,81 @@ pub(crate) fn group_by_color(d: &Decomposition) -> Vec<(usize, Vec<u32>)> {
     classes
 }
 
+/// The color-class sweep every decomposition consumer runs (deterministic
+/// MIS, coloring, and the SLOCAL→LOCAL reduction supply only `step`).
+///
+/// Classes run in the order given (ascending color). Within a class,
+/// `step(state, frozen, members, staged)` runs once per cluster: it reads
+/// the outputs `frozen` of earlier classes (same-color clusters are
+/// non-adjacent, so nothing else it could read has been decided) and
+/// appends one `(node, value)` pair per member to `staged`, where later
+/// members of the same cluster can find earlier ones. Classes of at least
+/// [`PARALLEL_MIN_MEMBERS`] member nodes are spread over `threads` scoped
+/// threads by [`process_clusters`]; staged outputs are merged in bucket
+/// order, so the result is bit-identical for every thread count (re-checked
+/// on every multi-threaded call under the `determinism-checks` cargo
+/// feature).
+///
+/// # Panics
+/// If `classes` does not cover every node of `d` — every planned
+/// decomposition's classes do.
+pub(crate) fn sweep<T, S, F>(
+    d: &Decomposition,
+    classes: &[(usize, Vec<u32>)],
+    threads: usize,
+    init: &(impl Fn() -> S + Sync),
+    step: &F,
+) -> Vec<T>
+where
+    T: Send + Sync + PartialEq + std::fmt::Debug,
+    F: Fn(&mut S, &[Option<T>], &[usize], &mut Vec<(u32, T)>) + Sync,
+{
+    let clustering = d.clustering();
+    let mut outputs: Vec<Option<T>> = (0..clustering.node_count()).map(|_| None).collect();
+    for (_, clusters) in classes {
+        let members_total: usize = clusters
+            .iter()
+            .map(|&c| clustering.members(c as usize).len())
+            .sum();
+        let frozen = &outputs[..];
+        let staged = process_clusters(
+            clusters,
+            threads,
+            members_total >= PARALLEL_MIN_MEMBERS,
+            init,
+            &|state: &mut S, c, out: &mut Vec<(u32, T)>| {
+                step(state, frozen, clustering.members(c as usize), out);
+            },
+        );
+        for bucket in staged {
+            for (v, value) in bucket {
+                outputs[v as usize] = Some(value);
+            }
+        }
+    }
+    let outputs: Vec<T> = outputs
+        .into_iter()
+        .map(|o| o.expect("every node processed")) // audit: allow(panic) -- a planned decomposition's color classes cover every node
+        .collect();
+    #[cfg(feature = "determinism-checks")]
+    if threads > 1 {
+        assert_eq!(
+            outputs,
+            sweep(d, classes, 1, init, step),
+            "determinism check: parallel color-class sweep diverged from sequential"
+        );
+    }
+    outputs
+}
+
 /// Sweep one color class's clusters, staging each cluster's outputs into its
 /// bucket's vector. `init` builds one per-thread working state; `f(state,
 /// cluster, staged)` processes one cluster, appending `(node, value)` pairs.
 /// Buckets are fixed contiguous ranges of the cluster list; when `parallel`,
 /// contiguous bucket ranges are distributed over scoped threads. Because a
 /// cluster's staged outputs land in its own bucket's vector and buckets are
-/// merged in index order by the caller, the result is identical either way.
-pub(crate) fn process_clusters<T, S, F>(
+/// merged in index order by [`sweep`], the result is identical either way.
+fn process_clusters<T, S, F>(
     clusters: &[u32],
     threads: usize,
     parallel: bool,

@@ -124,16 +124,8 @@ pub fn repair_decomposition(
     batch: &EditBatch,
     opts: &RepairOptions,
 ) -> Result<RepairOutcome, DecompError> {
+    old.check_total(new_g)?;
     let n = new_g.node_count();
-    if old.clustering().node_count() != n {
-        return Err(DecompError::WrongGraph {
-            got: old.clustering().node_count(),
-            expected: n,
-        });
-    }
-    if let Some(&node) = old.clustering().unclustered().first() {
-        return Err(DecompError::UnclusteredNode { node });
-    }
     let k_old = old.clustering().cluster_count();
     if batch.is_empty() {
         return Ok(RepairOutcome {

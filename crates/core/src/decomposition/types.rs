@@ -1,4 +1,12 @@
-//! The decomposition value type and validator.
+//! The decomposition value type and its one validity checker.
+//!
+//! `Decomposition::check` (crate-private) holds the rule every validator and consumer
+//! plan applies, in one order: coverage and totality, then a per-cluster
+//! measure supplied by the caller (strong or weak diameter, diameter
+//! bounds, a BFS profile) whose failure means a disconnected cluster, then
+//! properness over `G`'s edges or lazy `G^k` balls. The public validators
+//! differ only in their measure, so they report the same first violation
+//! for the same input.
 
 use locality_graph::cluster::Clustering;
 use locality_graph::metrics::{
@@ -65,6 +73,17 @@ pub struct DecompQualityBounds {
     pub max_diameter_upper: u32,
     /// Whether the bounds pin the diameter exactly.
     pub exact: bool,
+}
+
+/// Where [`Decomposition::check`] looks for adjacent clusters sharing a
+/// colour.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Adjacency {
+    /// The edges of `G` itself.
+    Graph,
+    /// The edges of `G^k` (node pairs within distance `k`), scanned one
+    /// lazy radius-`k` ball per node so `G^k` is never materialized.
+    Power(u32),
 }
 
 /// Validation failure for a [`Decomposition`].
@@ -174,41 +193,13 @@ impl Decomposition {
     /// # Errors
     /// The first violated invariant, as a [`DecompError`].
     pub fn validate(&self, g: &Graph) -> Result<DecompQuality, DecompError> {
-        if self.clustering.node_count() != g.node_count() {
-            return Err(DecompError::WrongGraph {
-                got: self.clustering.node_count(),
-                expected: g.node_count(),
-            });
-        }
-        if let Some(&node) = self.clustering.unclustered().first() {
-            return Err(DecompError::UnclusteredNode { node });
-        }
         let mut max_diameter = 0;
         let mut scratch = DiameterScratch::new(g.node_count());
-        for c in 0..self.clustering.cluster_count() {
-            match induced_diameter_with(g, self.clustering.members(c), &mut scratch) {
-                Some(d) => max_diameter = max_diameter.max(d),
-                None => return Err(DecompError::DisconnectedCluster { cluster: c }),
-            }
-        }
-        for (u, v) in g.edges() {
-            let (cu, cv) = (
-                self.clustering.cluster_of(u).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-                self.clustering.cluster_of(v).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-            );
-            if cu != cv && self.colors[cu] == self.colors[cv] {
-                return Err(DecompError::AdjacentSameColor {
-                    a: cu,
-                    b: cv,
-                    color: self.colors[cu],
-                });
-            }
-        }
-        Ok(DecompQuality {
-            colors: self.color_count(),
-            max_diameter,
-            clusters: self.clustering.cluster_count(),
-        })
+        self.check(g, Adjacency::Graph, |members| {
+            induced_diameter_with(g, members, &mut scratch)
+                .map(|d| max_diameter = max_diameter.max(d))
+        })?;
+        Ok(self.quality(max_diameter))
     }
 
     /// Like [`Decomposition::validate`], but clusters larger than
@@ -232,49 +223,21 @@ impl Decomposition {
         g: &Graph,
         exact_limit: usize,
     ) -> Result<DecompQualityBounds, DecompError> {
-        if self.clustering.node_count() != g.node_count() {
-            return Err(DecompError::WrongGraph {
-                got: self.clustering.node_count(),
-                expected: g.node_count(),
-            });
-        }
-        if let Some(&node) = self.clustering.unclustered().first() {
-            return Err(DecompError::UnclusteredNode { node });
-        }
         let mut lower = 0u32;
         let mut upper = 0u32;
         let mut exact = true;
         let mut scratch = DiameterScratch::new(g.node_count());
-        for c in 0..self.clustering.cluster_count() {
-            let members = self.clustering.members(c);
+        self.check(g, Adjacency::Graph, |members| {
             let (lo, hi) = if members.len() <= exact_limit {
-                match induced_diameter_with(g, members, &mut scratch) {
-                    Some(d) => (d, d),
-                    None => return Err(DecompError::DisconnectedCluster { cluster: c }),
-                }
+                induced_diameter_with(g, members, &mut scratch).map(|d| (d, d))?
             } else {
-                match induced_diameter_bounds_with(g, members, &mut scratch) {
-                    Some(b) => b,
-                    None => return Err(DecompError::DisconnectedCluster { cluster: c }),
-                }
+                induced_diameter_bounds_with(g, members, &mut scratch)?
             };
             exact &= lo == hi;
             lower = lower.max(lo);
             upper = upper.max(hi);
-        }
-        for (u, v) in g.edges() {
-            let (cu, cv) = (
-                self.clustering.cluster_of(u).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-                self.clustering.cluster_of(v).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-            );
-            if cu != cv && self.colors[cu] == self.colors[cv] {
-                return Err(DecompError::AdjacentSameColor {
-                    a: cu,
-                    b: cv,
-                    color: self.colors[cu],
-                });
-            }
-        }
+            Some(())
+        })?;
         Ok(DecompQualityBounds {
             colors: self.color_count(),
             clusters: self.clustering.cluster_count(),
@@ -296,41 +259,12 @@ impl Decomposition {
     /// ([`DecompError::DisconnectedCluster`] here means "not even weakly
     /// connected in `G`").
     pub fn validate_weak(&self, g: &Graph) -> Result<DecompQuality, DecompError> {
-        if self.clustering.node_count() != g.node_count() {
-            return Err(DecompError::WrongGraph {
-                got: self.clustering.node_count(),
-                expected: g.node_count(),
-            });
-        }
-        if let Some(&node) = self.clustering.unclustered().first() {
-            return Err(DecompError::UnclusteredNode { node });
-        }
         let mut max_diameter = 0;
         let mut scratch = DiameterScratch::new(g.node_count());
-        for c in 0..self.clustering.cluster_count() {
-            match weak_diameter_with(g, self.clustering.members(c), &mut scratch) {
-                Some(d) => max_diameter = max_diameter.max(d),
-                None => return Err(DecompError::DisconnectedCluster { cluster: c }),
-            }
-        }
-        for (u, v) in g.edges() {
-            let (cu, cv) = (
-                self.clustering.cluster_of(u).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-                self.clustering.cluster_of(v).expect("total"), // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-            );
-            if cu != cv && self.colors[cu] == self.colors[cv] {
-                return Err(DecompError::AdjacentSameColor {
-                    a: cu,
-                    b: cv,
-                    color: self.colors[cu],
-                });
-            }
-        }
-        Ok(DecompQuality {
-            colors: self.color_count(),
-            max_diameter,
-            clusters: self.clustering.cluster_count(),
-        })
+        self.check(g, Adjacency::Graph, |members| {
+            weak_diameter_with(g, members, &mut scratch).map(|d| max_diameter = max_diameter.max(d))
+        })?;
+        Ok(self.quality(max_diameter))
     }
 
     /// Validate this decomposition against the power graph `G^k` **without
@@ -348,51 +282,94 @@ impl Decomposition {
     /// [`DecompError::AdjacentSameColor`] the offending *pair* may differ —
     /// balls are scanned per node rather than edges in canonical order).
     pub fn validate_weak_power(&self, g: &Graph, k: u32) -> Result<DecompQuality, DecompError> {
+        let mut max_diameter = 0;
+        let mut scratch = DiameterScratch::new(g.node_count());
+        self.check(g, Adjacency::Power(k), |members| {
+            weak_diameter_with(g, members, &mut scratch)
+                .map(|d| max_diameter = max_diameter.max(d.div_ceil(k)))
+        })?;
+        Ok(self.quality(max_diameter))
+    }
+
+    fn quality(&self, max_diameter: u32) -> DecompQuality {
+        DecompQuality {
+            colors: self.color_count(),
+            max_diameter,
+            clusters: self.clustering.cluster_count(),
+        }
+    }
+
+    /// The validity rule, written once for every validator and consumer
+    /// plan: coverage and totality ([`Decomposition::check_total`]), then
+    /// `measure` on each cluster's members in id order, then properness
+    /// over `adjacency`. `measure` computes whatever the caller reports
+    /// (a strong or weak diameter, bounds on one, a BFS profile) and
+    /// returns `None` when the cluster is not connected in the caller's
+    /// sense, which ends the check with [`DecompError::DisconnectedCluster`].
+    ///
+    /// # Errors
+    /// The first violated invariant, in that order.
+    pub(crate) fn check(
+        &self,
+        g: &Graph,
+        adjacency: Adjacency,
+        mut measure: impl FnMut(&[usize]) -> Option<()>,
+    ) -> Result<(), DecompError> {
+        self.check_total(g)?;
+        for c in 0..self.clustering.cluster_count() {
+            if measure(self.clustering.members(c)).is_none() {
+                return Err(DecompError::DisconnectedCluster { cluster: c });
+            }
+        }
+        // audit: allow(panic) -- totality was checked on the first line
+        let cluster = |v: usize| self.clustering.cluster_of(v).expect("total");
+        let clash = |a: usize, b: usize| {
+            if a != b && self.colors[a] == self.colors[b] {
+                return Err(DecompError::AdjacentSameColor {
+                    a,
+                    b,
+                    color: self.colors[a],
+                });
+            }
+            Ok(())
+        };
+        match adjacency {
+            Adjacency::Graph => {
+                for (u, v) in g.edges() {
+                    clash(cluster(u), cluster(v))?;
+                }
+            }
+            Adjacency::Power(k) => {
+                let mut view = PowerView::new(g, k);
+                for u in g.nodes() {
+                    let cu = cluster(u);
+                    for &(w, _) in view.ball_of(u) {
+                        let cw = cluster(w as usize);
+                        clash(cu.min(cw), cu.max(cw))?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Coverage and totality: the clustering spans exactly `g`'s nodes and
+    /// leaves none of them unclustered. The first step of every check, and
+    /// all that decomposition repair asks of its input.
+    ///
+    /// # Errors
+    /// [`DecompError::WrongGraph`] or [`DecompError::UnclusteredNode`].
+    pub(crate) fn check_total(&self, g: &Graph) -> Result<(), DecompError> {
         if self.clustering.node_count() != g.node_count() {
             return Err(DecompError::WrongGraph {
                 got: self.clustering.node_count(),
                 expected: g.node_count(),
             });
         }
-        if let Some(&node) = self.clustering.unclustered().first() {
-            return Err(DecompError::UnclusteredNode { node });
+        match self.clustering.unclustered().first() {
+            Some(&node) => Err(DecompError::UnclusteredNode { node }),
+            None => Ok(()),
         }
-        let mut max_diameter = 0;
-        let mut scratch = DiameterScratch::new(g.node_count());
-        for c in 0..self.clustering.cluster_count() {
-            match weak_diameter_with(g, self.clustering.members(c), &mut scratch) {
-                Some(d) => max_diameter = max_diameter.max(d.div_ceil(k)),
-                None => return Err(DecompError::DisconnectedCluster { cluster: c }),
-            }
-        }
-        self.check_power_properness(g, k)?;
-        Ok(DecompQuality {
-            colors: self.color_count(),
-            max_diameter,
-            clusters: self.clustering.cluster_count(),
-        })
-    }
-
-    /// Properness against `G^k` without materializing it: scan each node's
-    /// lazy radius-`k` ball ([`PowerView`]) and reject the first same-color
-    /// pair of distinct clusters. Shared by [`Decomposition::validate_weak_power`]
-    /// and the SLOCAL→LOCAL reduction's scheduling pass.
-    pub(crate) fn check_power_properness(&self, g: &Graph, k: u32) -> Result<(), DecompError> {
-        let mut view = PowerView::new(g, k);
-        for u in g.nodes() {
-            let cu = self.clustering.cluster_of(u).expect("total"); // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-            for &(w, _) in view.ball_of(u) {
-                let cw = self.clustering.cluster_of(w as usize).expect("total"); // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-                if cu != cw && self.colors[cu] == self.colors[cw] {
-                    return Err(DecompError::AdjacentSameColor {
-                        a: cu.min(cw),
-                        b: cu.max(cw),
-                        color: self.colors[cu],
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The trivial decomposition: every node its own cluster, all color 0 is
@@ -580,6 +557,70 @@ mod tests {
             d.validate_weak(&gp),
             Err(DecompError::AdjacentSameColor { .. })
         ));
+    }
+
+    /// Every validator and plan gives the same, pinned answer on five broken
+    /// inputs: a wrong node count, an unclustered node, a cluster split
+    /// across components of `G`, adjacent clusters sharing a colour, and a
+    /// decomposition broken both ways (cluster 0 split, and adjacent to the
+    /// same-coloured cluster 1), where connectivity is checked first.
+    #[test]
+    fn validators_report_pinned_errors() {
+        use crate::consume::plan_consumer;
+        use crate::slocal::plan_reduction;
+        use DecompError::*;
+        let decomp = |assignment: Vec<Option<usize>>, colors: Vec<usize>| {
+            Decomposition::new(Clustering::from_assignment(assignment).unwrap(), colors).unwrap()
+        };
+        let two_edges = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let split = vec![Some(0), Some(1), Some(0), Some(2)];
+        let clash = AdjacentSameColor {
+            a: 0,
+            b: 1,
+            color: 7,
+        };
+        let cases = [
+            (
+                Graph::path(5),
+                Decomposition::new(Clustering::singletons(3), vec![0, 1, 2]).unwrap(),
+                WrongGraph {
+                    got: 3,
+                    expected: 5,
+                },
+            ),
+            (
+                Graph::path(3),
+                decomp(vec![Some(0), Some(0), None], vec![0]),
+                UnclusteredNode { node: 2 },
+            ),
+            (
+                two_edges.clone(),
+                decomp(split.clone(), vec![0, 1, 2]),
+                DisconnectedCluster { cluster: 0 },
+            ),
+            (
+                Graph::path(4),
+                decomp(vec![Some(0), Some(0), Some(1), Some(1)], vec![7, 7]),
+                clash,
+            ),
+            (
+                two_edges,
+                decomp(split, vec![0, 0, 1]),
+                DisconnectedCluster { cluster: 0 },
+            ),
+        ];
+        for (g, d, want) in cases {
+            let got = [
+                d.validate(&g).map(drop),
+                d.validate_bounded(&g, usize::MAX).map(drop),
+                d.validate_bounded(&g, 0).map(drop),
+                d.validate_weak(&g).map(drop),
+                d.validate_weak_power(&g, 3).map(drop),
+                plan_consumer(&g, &d).map(drop),
+                plan_reduction(&g, 1, &d).map(drop),
+            ];
+            assert_eq!(got, [(); 7].map(|()| Err(want.clone())), "{want}");
+        }
     }
 
     #[test]

@@ -145,26 +145,13 @@ pub fn via_decomposition(g: &Graph, d: &Decomposition) -> MisOutcome {
 }
 
 /// [`via_decomposition`] with an explicit thread count (`0` = all available).
-/// Under the `determinism-checks` cargo feature each call re-runs
-/// single-threaded and asserts bit-identical output.
+/// Under the `determinism-checks` cargo feature each multi-threaded call
+/// re-runs single-threaded and asserts bit-identical output.
 ///
 /// # Panics
 /// Panics if `d` is not a valid decomposition of `g` (checked).
 pub fn via_decomposition_threads(g: &Graph, d: &Decomposition, threads: usize) -> MisOutcome {
-    let result = mis_consume(g, d, crate::consume::resolve_threads(threads));
-    #[cfg(feature = "determinism-checks")]
-    {
-        let sequential = mis_consume(g, d, 1);
-        assert_eq!(
-            result.in_mis, sequential.in_mis,
-            "determinism check: parallel MIS consumer diverged from sequential"
-        );
-        assert_eq!(result.meter, sequential.meter);
-    }
-    result
-}
-
-fn mis_consume(g: &Graph, d: &Decomposition, threads: usize) -> MisOutcome {
+    let threads = crate::consume::resolve_threads(threads);
     let plan = crate::consume::plan_consumer(g, d).expect("decomposition must be valid"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
     consume_with_plan(g, d, &plan, threads)
 }
@@ -180,59 +167,27 @@ pub(crate) fn consume_with_plan(
     plan: &crate::consume::ConsumerPlan,
     threads: usize,
 ) -> MisOutcome {
-    let clustering = d.clustering();
-    let n = g.node_count();
-    let mut in_mis = vec![false; n];
-    let mut decided = vec![false; n];
-    let mut meter = CostMeter::default();
-
-    for (_, clusters) in &plan.classes {
-        let color_diam = clusters
-            .iter()
-            .map(|&c| u64::from(plan.diam[c as usize]))
-            .max()
-            .unwrap_or(0);
-        let members_total: usize = clusters
-            .iter()
-            .map(|&c| clustering.members(c as usize).len())
-            .sum();
-        let parallel = members_total >= crate::consume::PARALLEL_MIN_MEMBERS;
-        let staged = crate::consume::process_clusters(
-            clusters,
-            threads,
-            parallel,
-            || (),
-            &|(), c, out: &mut Vec<(u32, bool)>| {
-                // Greedy over the cluster's members in index order. Earlier
-                // members of *this* cluster live in `out[base..]` (sorted —
-                // members ascend); everything else relevant is in the frozen
-                // `decided`/`in_mis` state of previous colors, because
-                // same-color clusters are non-adjacent.
-                let base = out.len();
-                for &v in clustering.members(c as usize) {
-                    let blocked = g.neighbors(v).iter().any(|&u| {
-                        if decided[u] && in_mis[u] {
-                            return true;
-                        }
-                        matches!(
-                            out[base..].binary_search_by_key(&(u as u32), |&(w, _)| w),
-                            Ok(i) if out[base + i].1
-                        )
-                    });
-                    out.push((v as u32, !blocked));
-                }
-            },
-        );
-        for bucket in staged {
-            for (v, joined) in bucket {
-                in_mis[v as usize] = joined;
-                decided[v as usize] = true;
-            }
+    // Greedy over each cluster's members in index order. Earlier members of
+    // *this* cluster live in `out[base..]` (sorted — members ascend);
+    // everything else relevant is frozen in earlier classes' outputs.
+    let step = |(): &mut (), frozen: &[Option<bool>], members: &[usize], out: &mut Vec<_>| {
+        let base = out.len();
+        for &v in members {
+            let blocked = g.neighbors(v).iter().any(|&u| {
+                frozen[u] == Some(true)
+                    || matches!(
+                        out[base..].binary_search_by_key(&(u as u32), |&(w, _)| w),
+                        Ok(i) if out[base + i].1
+                    )
+            });
+            out.push((v as u32, !blocked));
         }
-        meter.rounds += 2 * color_diam + 2;
+    };
+    let in_mis = crate::consume::sweep(d, &plan.classes, threads, &|| (), &step);
+    MisOutcome {
+        in_mis,
+        meter: CostMeter::rounds_only(plan.rounds()),
     }
-    debug_assert!(decided.iter().all(|&x| x));
-    MisOutcome { in_mis, meter }
 }
 
 /// The pre-optimization deterministic consumer, retained as the differential

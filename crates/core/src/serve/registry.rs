@@ -1,7 +1,7 @@
 //! The solver registry: one [`SolverEntry`] of capability metadata per
-//! `(problem, strategy)` pair the serving layer answers, so the whole
-//! served surface is enumerable (the `experiments` bin's `s1` prints this
-//! table).
+//! solver the serving layer answers — a `(problem, strategy)` pair, or for
+//! decompositions a method — so the whole served surface is enumerable
+//! (the `experiments` bin's `s1` prints this table).
 //!
 //! The registry describes; it does not dispatch. The
 //! [`Session`](super::Session) matches each request's [`Strategy`]
@@ -42,8 +42,10 @@ impl Model {
 pub struct SolverEntry {
     /// The problem this solver answers.
     pub problem: ProblemKind,
-    /// The strategy that selects it.
-    pub strategy: Strategy,
+    /// The strategy that selects it; `None` for problems whose requests
+    /// carry no strategy (decompositions pick a `method`, verification
+    /// has one checker per claim).
+    pub strategy: Option<Strategy>,
     /// For decomposition constructions, which method this row describes.
     pub method: Option<DecompMethod>,
     /// Short stable name (`problem/solver`).
@@ -128,13 +130,13 @@ fn budget_verify(_n: usize) -> u64 {
 ///     .filter(|e| e.problem == ProblemKind::Mis)
 ///     .collect();
 /// assert_eq!(mis.len(), 2);
-/// assert_eq!(mis[0].strategy, Strategy::ViaDecomposition);
+/// assert_eq!(mis[0].strategy, Some(Strategy::ViaDecomposition));
 /// ```
 pub fn registry() -> &'static [SolverEntry] {
     const REGISTRY: &[SolverEntry] = &[
         SolverEntry {
             problem: ProblemKind::Mis,
-            strategy: Strategy::ViaDecomposition,
+            strategy: Some(Strategy::ViaDecomposition),
             method: None,
             name: "mis/via-decomposition",
             model: Model::Local,
@@ -145,7 +147,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Mis,
-            strategy: Strategy::Direct,
+            strategy: Some(Strategy::Direct),
             method: None,
             name: "mis/luby",
             model: Model::Congest,
@@ -156,7 +158,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Coloring,
-            strategy: Strategy::ViaDecomposition,
+            strategy: Some(Strategy::ViaDecomposition),
             method: None,
             name: "coloring/via-decomposition",
             model: Model::Local,
@@ -167,7 +169,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Coloring,
-            strategy: Strategy::Direct,
+            strategy: Some(Strategy::Direct),
             method: None,
             name: "coloring/trial",
             model: Model::Congest,
@@ -178,7 +180,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Decompose,
-            strategy: Strategy::Direct,
+            strategy: None,
             method: Some(DecompMethod::BallCarving),
             name: "decompose/ball-carving",
             model: Model::Slocal,
@@ -189,7 +191,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Decompose,
-            strategy: Strategy::Direct,
+            strategy: None,
             method: Some(DecompMethod::Mpx),
             name: "decompose/mpx",
             model: Model::Congest,
@@ -200,7 +202,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Decompose,
-            strategy: Strategy::Direct,
+            strategy: None,
             method: Some(DecompMethod::ElkinNeiman),
             name: "decompose/elkin-neiman",
             model: Model::Congest,
@@ -211,7 +213,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Decompose,
-            strategy: Strategy::Direct,
+            strategy: None,
             method: Some(DecompMethod::Derandomized),
             name: "decompose/derandomized",
             model: Model::Slocal,
@@ -222,7 +224,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Slocal,
-            strategy: Strategy::ViaDecomposition,
+            strategy: Some(Strategy::ViaDecomposition),
             method: None,
             name: "slocal/reduction",
             model: Model::Local,
@@ -233,7 +235,7 @@ pub fn registry() -> &'static [SolverEntry] {
         },
         SolverEntry {
             problem: ProblemKind::Verify,
-            strategy: Strategy::Direct,
+            strategy: None,
             method: None,
             name: "verify/checkers",
             model: Model::Local,
@@ -256,18 +258,18 @@ mod tests {
         let mut rows = registry().iter().filter(|e| e.problem == problem);
         match strategy {
             Strategy::Auto => rows.next(),
-            s => rows.find(|e| e.strategy == s),
+            s => rows.find(|e| e.strategy == Some(s)),
         }
     }
 
     #[test]
     fn auto_prefers_the_deterministic_consumer() {
         let e = row(ProblemKind::Mis, Strategy::Auto).unwrap();
-        assert_eq!(e.strategy, Strategy::ViaDecomposition);
+        assert_eq!(e.strategy, Some(Strategy::ViaDecomposition));
         assert!(e.deterministic);
         assert!(e.needs_decomposition);
         let c = row(ProblemKind::Coloring, Strategy::Auto).unwrap();
-        assert_eq!(c.strategy, Strategy::ViaDecomposition);
+        assert_eq!(c.strategy, Some(Strategy::ViaDecomposition));
     }
 
     #[test]
@@ -276,6 +278,14 @@ mod tests {
         assert!(row(ProblemKind::Coloring, Strategy::Direct).is_some());
         assert!(row(ProblemKind::Slocal, Strategy::Direct).is_none());
         assert!(row(ProblemKind::Slocal, Strategy::ViaDecomposition).is_some());
+    }
+
+    #[test]
+    fn only_strategy_carrying_problems_name_a_strategy() {
+        for e in registry() {
+            let carries = !matches!(e.problem, ProblemKind::Decompose | ProblemKind::Verify);
+            assert_eq!(e.strategy.is_some(), carries, "{}", e.name);
+        }
     }
 
     #[test]

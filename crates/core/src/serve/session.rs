@@ -537,19 +537,11 @@ impl Session {
                 };
                 diam.push(x);
             }
-            let plan = consume::ConsumerPlan {
-                classes: consume::group_by_color(d),
-                diam,
-            };
-            let quality = DecompQuality {
-                colors: plan.classes.len(),
-                max_diameter: plan.diam.iter().copied().max().unwrap_or(0),
-                clusters: plan.diam.len(),
-            };
+            let plan = consume::ConsumerPlan::new(d, diam);
             repaired.push(DecompSlot {
                 options: slot.options,
                 decomposition: out.decomposition,
-                quality,
+                quality: plan.quality(),
                 // The meter recorded the original construction; repairs
                 // are maintenance, not a protocol run.
                 meter: slot.meter,
@@ -689,7 +681,7 @@ impl Session {
     /// bit-identical to the free functions (and to each other).
     fn run_reduction<T, F>(&mut self, pi: usize, threads: usize, step: F) -> Vec<T>
     where
-        T: Send + Sync,
+        T: Send + Sync + PartialEq + std::fmt::Debug,
         F: Fn(&BallView<'_, T>) -> T + Sync,
     {
         let Session {
@@ -864,16 +856,11 @@ impl Session {
         };
         let plan =
             consume::plan_consumer_with(&self.graph, &decomposition, &mut self.diam_scratch)?;
-        let quality = DecompQuality {
-            colors: plan.classes.len(),
-            max_diameter: plan.diam.iter().copied().max().unwrap_or(0),
-            clusters: plan.diam.len(),
-        };
         self.stats.decompositions_built += 1;
         self.decomps.push(DecompSlot {
             options: key,
             decomposition,
-            quality,
+            quality: plan.quality(),
             meter,
             plan,
         });
@@ -915,17 +902,16 @@ impl Session {
             return Ok(idx);
         }
         // The graph changed under this slot: keep the carved power
-        // decomposition if it is still a weak decomposition of the new
-        // `G^{2r+1}` (edits far from its clusters usually leave it valid),
-        // otherwise carve afresh.
-        if slot
-            .decomposition
-            .validate_weak_power(graph, 2 * r + 1)
-            .is_err()
-        {
-            slot.decomposition = carve(graph);
-        }
-        slot.plan = slocal::plan_reduction_with(graph, r, &slot.decomposition, diam_scratch)?;
+        // decomposition if it still plans, i.e. is still a weak
+        // decomposition of the new `G^{2r+1}` (edits far from its clusters
+        // usually leave it valid), otherwise carve afresh.
+        slot.plan = match slocal::plan_reduction_with(graph, r, &slot.decomposition, diam_scratch) {
+            Ok(plan) => plan,
+            Err(_) => {
+                slot.decomposition = carve(graph);
+                slocal::plan_reduction_with(graph, r, &slot.decomposition, diam_scratch)?
+            }
+        };
         slot.stale = false;
         stats.power_plans_built += 1;
         Ok(idx)
@@ -1047,17 +1033,21 @@ mod tests {
 
     /// The request a registry row describes, on a session pinning `g`.
     fn row_request(e: &SolverEntry, g: &Graph) -> Request {
+        let strategy = || {
+            e.strategy
+                .expect("rows of strategy-carrying problems name one")
+        };
         match e.problem {
-            ProblemKind::Mis => Request::Mis(MisOptions::new().with_strategy(e.strategy)),
+            ProblemKind::Mis => Request::Mis(MisOptions::new().with_strategy(strategy())),
             ProblemKind::Coloring => {
-                Request::Coloring(ColoringOptions::new().with_strategy(e.strategy))
+                Request::Coloring(ColoringOptions::new().with_strategy(strategy()))
             }
             ProblemKind::Decompose => Request::Decompose(
                 DecomposeOptions::new()
                     .with_method(e.method.expect("decompose rows name a method")),
             ),
             ProblemKind::Slocal => {
-                Request::Slocal(SlocalOptions::new(SlocalTask::GreedyMis).with_strategy(e.strategy))
+                Request::Slocal(SlocalOptions::new(SlocalTask::GreedyMis).with_strategy(strategy()))
             }
             ProblemKind::Verify => Request::verify_mis(vec![false; g.node_count()]),
         }

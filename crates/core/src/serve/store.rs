@@ -28,9 +28,12 @@
 //! is a typed [`StoreError`] (`tests/proptest_store.rs` sweeps all of
 //! these exhaustively). The outer checksum is an *integrity* check against
 //! torn writes and storage rot, not an authenticity check: restore
-//! re-validates structure (assignment contiguity, color arity, plan
-//! bounds) but deliberately skips the expensive per-cluster diameter
-//! sweeps the quality section memoizes. Writes go through
+//! re-validates structure (assignment contiguity, color arity) and
+//! requires the consumer plan to be the one its decomposition implies —
+//! the recorded color classes equal the decomposition's clusters grouped
+//! by color, and the recorded quality equals the one the plan derives —
+//! but deliberately skips the expensive per-cluster diameter sweeps the
+//! plan memoizes. Writes go through
 //! [`write_atomic`]: the bytes are flushed to a sibling temp file, synced,
 //! and renamed into place, so a crash mid-persist leaves either the old
 //! snapshot or the new one, never a torn file.
@@ -631,7 +634,6 @@ fn decode_slot(payload: &[u8], graph: &Graph) -> Result<DecompSlot, StoreError> 
     };
     let class_count = r.count(16, "color classes")?;
     let mut classes = Vec::with_capacity(class_count);
-    let mut clusters_seen = 0usize;
     for _ in 0..class_count {
         let color = r.u64()?;
         let color = usize::try_from(color)
@@ -639,27 +641,9 @@ fn decode_slot(payload: &[u8], graph: &Graph) -> Result<DecompSlot, StoreError> 
         let len = r.count(4, "class members")?;
         let mut members = Vec::with_capacity(len);
         for _ in 0..len {
-            let c = r.u32()?;
-            if c as usize >= k {
-                return Err(r.malformed(format!(
-                    "class member names cluster {c} of a {k}-cluster decomposition"
-                )));
-            }
-            members.push(c);
+            members.push(r.u32()?);
         }
-        clusters_seen += len;
         classes.push((color, members));
-    }
-    if clusters_seen != k {
-        return Err(r.malformed(format!(
-            "color classes cover {clusters_seen} clusters of {k}"
-        )));
-    }
-    if quality.colors != class_count || quality.clusters != k {
-        return Err(r.malformed(format!(
-            "quality records {} colors / {} clusters, plan has {class_count} / {k}",
-            quality.colors, quality.clusters
-        )));
     }
     let diam_count = r.count(4, "diameters")?;
     if diam_count != k {
@@ -672,7 +656,20 @@ fn decode_slot(payload: &[u8], graph: &Graph) -> Result<DecompSlot, StoreError> 
         diam.push(r.u32()?);
     }
     r.finish()?;
-    let plan = consume::ConsumerPlan { classes, diam };
+    // The plan must be the one its decomposition implies: every cluster
+    // listed once, under its own color, and the quality derived from it.
+    let plan = consume::ConsumerPlan::new(&decomposition, diam);
+    if classes != plan.classes {
+        return Err(r.malformed(
+            "color classes disagree with the decomposition's cluster colors".to_string(),
+        ));
+    }
+    if quality != plan.quality() {
+        return Err(r.malformed(format!(
+            "quality {quality:?} disagrees with the plan's {:?}",
+            plan.quality()
+        )));
+    }
     Ok(DecompSlot {
         options,
         decomposition,
@@ -862,6 +859,46 @@ mod tests {
             decode_session(Graph::grid(6, 10), &bytes),
             Err(StoreError::GraphMismatch { .. })
         ));
+    }
+
+    /// A checksum-valid snapshot whose consumer plan disagrees with its own
+    /// decomposition must not restore: the session would charge the wrong
+    /// rounds, or reach a node no listed cluster covers and panic in the
+    /// consumer sweep.
+    #[test]
+    fn plan_that_disagrees_with_its_decomposition_is_malformed() {
+        let s = sample_session();
+        let snapshot = |slot: &DecompSlot| {
+            assemble(vec![
+                (TAG_GRAPH, encode_graph_section(s.graph())),
+                (TAG_DECOMP_SLOT, encode_slot(slot).unwrap()),
+            ])
+        };
+        let good = &s.decomp_slots()[0];
+        assert!(decode_session(s.graph().clone(), &snapshot(good)).is_ok());
+        assert!(good.plan.classes.len() >= 2 && good.plan.classes[0].1.len() >= 2);
+
+        let mut twice = good.clone();
+        let first = &mut twice.plan.classes[0].1;
+        first[1] = first[0];
+        let mut wrong_color = good.clone();
+        let moved = wrong_color.plan.classes[0].1.pop().unwrap();
+        wrong_color.plan.classes[1].1.push(moved);
+        let mut wrong_diameter = good.clone();
+        wrong_diameter.quality.max_diameter += 1;
+        for (name, slot) in [
+            ("cluster listed twice, another never", twice),
+            ("cluster under the wrong colour", wrong_color),
+            ("max diameter not the largest stored", wrong_diameter),
+        ] {
+            assert!(
+                matches!(
+                    decode_session(s.graph().clone(), &snapshot(&slot)),
+                    Err(StoreError::Malformed { .. })
+                ),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //! consumers in [`crate::mis`]/[`crate::coloring`] are special cases with
 //! `r = 1`. This module implements the general reduction with the cost
 //! accounting of the theorem — and at the theorem's parallelism: the fast
-//! path never materializes `G^{2r+1}` (validation goes through
-//! [`Decomposition::validate_weak_power`]'s lazy ball scans and scratch-BFS
-//! weak diameters), every SLOCAL step costs `O(ball)` via the arena-backed
+//! path never materializes `G^{2r+1}` (the plan runs the decomposition
+//! checker behind [`Decomposition::validate_weak_power`], with lazy ball
+//! scans for properness and one member-profile BFS per cluster as its
+//! measure), every SLOCAL step costs `O(ball)` via the arena-backed
 //! [`SlocalRunner`], and [`run_slocal_via_decomposition_threads`] executes
-//! each color class's clusters across scoped threads with bit-identical
-//! outputs. The quadratic original is retained as
+//! each color class's clusters through the consumers' shared color-class
+//! sweep, across scoped threads with bit-identical outputs. The quadratic original is retained as
 //! [`reference_run_slocal_via_decomposition`] for differential testing.
 
-use crate::decomposition::types::{DecompError, Decomposition};
+use crate::decomposition::types::{Adjacency, DecompError, Decomposition};
 use locality_graph::metrics::{member_distances_with, reference_weak_diameter, DiameterScratch};
 use locality_graph::power::reference_power_graph;
 use locality_graph::Graph;
@@ -114,43 +115,25 @@ pub(crate) fn plan_reduction_with(
     d: &Decomposition,
     scratch: &mut DiameterScratch,
 ) -> Result<ReductionPlan, DecompError> {
-    let k = 2 * r + 1;
     let clustering = d.clustering();
-    if clustering.node_count() != g.node_count() {
-        return Err(DecompError::WrongGraph {
-            got: clustering.node_count(),
-            expected: g.node_count(),
-        });
-    }
-    if let Some(&node) = clustering.unclustered().first() {
-        return Err(DecompError::UnclusteredNode { node });
-    }
-    // Properness over G^{2r+1} edges, one lazy ball at a time (the same
-    // scan `Decomposition::validate_weak_power` runs; connectivity and
-    // diameters are handled below, fused with the round bill).
-    d.check_power_properness(g, k)?;
-
     // One BFS per cluster: the member distance profile from the first member
     // (its maximum `ecc1` lower-bounds the weak diameter, `2·ecc1` upper-
-    // bounds it) doubling as the weak-connectivity check.
+    // bounds it) doubling as the weak-connectivity check; properness is
+    // scanned over lazy `G^{2r+1}` balls.
     let mut profile: Vec<(u32, u32)> = Vec::new();
     let mut buf: Vec<(u32, u32)> = Vec::new();
     let mut ecc1: Vec<u32> = Vec::with_capacity(clustering.cluster_count());
-    for c in 0..clustering.cluster_count() {
-        let members = clustering.members(c);
-        match member_distances_with(g, members[0], members, scratch, &mut profile) {
-            Some(e) => ecc1.push(e),
-            None => return Err(DecompError::DisconnectedCluster { cluster: c }),
-        }
-    }
+    d.check(g, Adjacency::Power(2 * r + 1), |members| {
+        member_distances_with(g, members[0], members, scratch, &mut profile).map(|e| ecc1.push(e))
+    })?;
 
-    let mut order: Vec<usize> = g.nodes().collect();
-    order.sort_by_key(|&v| {
-        let c = clustering.cluster_of(v).expect("total"); // audit: allow(panic) -- clustering is total over clustered nodes, validated where it was built
-        (d.color_of_cluster(c), c, v)
-    });
-
+    // Execution order: by (cluster color, cluster id, node id) — the classes
+    // list clusters in that order, and members ascend.
     let classes = crate::consume::group_by_color(d);
+    let mut order: Vec<usize> = Vec::with_capacity(g.node_count());
+    for &c in classes.iter().flat_map(|(_, clusters)| clusters) {
+        order.extend_from_slice(clustering.members(c as usize));
+    }
     let mut rounds = 0u64;
     for (_, clusters) in &classes {
         let mut worst = clusters
@@ -240,7 +223,8 @@ where
 /// are more than `2r+1` apart in `G`, so their radius-`r` read balls —
 /// and hence their reads and writes — are disjoint: outputs are
 /// bit-identical to the sequential path for every thread count (re-checked
-/// on every call under the `determinism-checks` cargo feature).
+/// on every multi-threaded call under the `determinism-checks` cargo
+/// feature).
 ///
 /// The step function must be stateless across calls (`Fn`), and outputs
 /// cross thread boundaries, hence the extra bounds.
@@ -258,33 +242,9 @@ where
     T: Send + Sync + PartialEq + std::fmt::Debug,
     F: Fn(&BallView<'_, T>) -> T + Sync,
 {
-    let result = reduction_parallel(g, r, decomp_of_power, threads, &step);
-    #[cfg(feature = "determinism-checks")]
-    {
-        let sequential = run_slocal_via_decomposition(g, r, decomp_of_power, &step);
-        assert_eq!(
-            result.outputs, sequential.outputs,
-            "determinism check: parallel reduction diverged from sequential"
-        );
-        assert_eq!(result.meter, sequential.meter);
-        assert_eq!(result.order, sequential.order);
-    }
-    result
-}
-
-fn reduction_parallel<T, F>(
-    g: &Graph,
-    r: u32,
-    d: &Decomposition,
-    threads: usize,
-    step: &F,
-) -> SlocalReductionOutcome<T>
-where
-    T: Send + Sync,
-    F: Fn(&BallView<'_, T>) -> T + Sync,
-{
-    let plan = plan_reduction(g, r, d).expect("decomposition must be valid for G^(2r+1)"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-    let outputs = reduction_with_plan(g, r, d, &plan, threads, step);
+    let plan =
+        plan_reduction(g, r, decomp_of_power).expect("decomposition must be valid for G^(2r+1)"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
+    let outputs = reduction_with_plan(g, r, decomp_of_power, &plan, threads, &step);
     SlocalReductionOutcome {
         outputs,
         meter: CostMeter::rounds_only(plan.rounds),
@@ -307,48 +267,17 @@ pub(crate) fn reduction_with_plan<T, F>(
     step: &F,
 ) -> Vec<T>
 where
-    T: Send + Sync,
+    T: Send + Sync + PartialEq + std::fmt::Debug,
     F: Fn(&BallView<'_, T>) -> T + Sync,
 {
-    let threads = crate::consume::resolve_threads(threads);
-    let clustering = d.clustering();
-    let n = g.node_count();
     let runner = SlocalRunner::new(g, r);
-    let mut outputs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-
-    for (_, clusters) in &plan.classes {
-        let members_total: usize = clusters
-            .iter()
-            .map(|&c| clustering.members(c as usize).len())
-            .sum();
-        let parallel = members_total >= crate::consume::PARALLEL_MIN_MEMBERS;
-        let outputs_ref = &outputs;
-        let staged = crate::consume::process_clusters(
-            clusters,
-            threads,
-            parallel,
-            || SlocalScratch::new(n),
-            &|scratch: &mut SlocalScratch, c, out: &mut Vec<(u32, T)>| {
-                runner.process_span(
-                    scratch,
-                    outputs_ref,
-                    out,
-                    clustering.members(c as usize),
-                    step,
-                );
-            },
-        );
-        for bucket in staged {
-            for (v, value) in bucket {
-                outputs[v as usize] = Some(value);
-            }
-        }
-    }
-
-    outputs
-        .into_iter()
-        .map(|o| o.expect("every node processed")) // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-        .collect()
+    let n = g.node_count();
+    let threads = crate::consume::resolve_threads(threads);
+    let span =
+        |scratch: &mut SlocalScratch, frozen: &[Option<T>], members: &[usize], out: &mut _| {
+            runner.process_span(scratch, frozen, out, members, step);
+        };
+    crate::consume::sweep(d, &plan.classes, threads, &|| SlocalScratch::new(n), &span)
 }
 
 /// The pre-optimization reduction, retained as the differential oracle:
