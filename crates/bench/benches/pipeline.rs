@@ -17,9 +17,10 @@
 //!   computation both paths pay equally — see `p1_pipeline_rows`;
 //! - the exact per-cluster strong diameters a consumer plan needs, on an
 //!   MPX (β = 0.4) decomposition of a connected `G(2000, 4/n)`, equal
-//!   `reference_induced_diameter` and are **≥ 4× faster** than it
-//!   (eccentricity bounding runs a small fraction of one BFS per member;
-//!   a full per-member scan over the scratch is no faster than the
+//!   `reference_induced_diameter` and are **≥ 30× faster** than it
+//!   (eccentricity bounding runs a small fraction of one BFS per member,
+//!   and past its first sixteen sources runs them 64 to a bit-parallel
+//!   sweep; a full per-member scan over the scratch is no faster than the
 //!   reference's compact subgraph).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -138,10 +139,16 @@ fn assert_reduction_speedup() {
     );
 }
 
+/// Floor of the plan-diameter speedup. Eccentricity bounding one source at a
+/// time reads 17–19x on this instance, whose one cluster needs about 200
+/// sources; the bit-parallel rounds take it to about 60x on a 2-core box. So
+/// the gate fails if the rounds stop running.
+const MIN_PLAN_SPEEDUP: f64 = 30.0;
+
 /// The consumer plan's dominant cost, exact per-cluster strong diameters,
 /// on the giant clusters a randomized producer builds: eccentricity
 /// bounding must match the retained all-pairs reference cluster by cluster
-/// and beat it ≥ 4×.
+/// and beat it by [`MIN_PLAN_SPEEDUP`].
 fn assert_plan_speedup() {
     let g = Graph::gnp_connected(2000, 4.0 / 2000.0, &mut SplitMix64::new(141));
     let clustering = mpx_partition(&g, 0.4, &mut SplitMix64::new(142)).clustering;
@@ -178,8 +185,9 @@ fn assert_plan_speedup() {
         fast_time.as_secs_f64() * 1e3,
     );
     assert!(
-        speedup >= 4.0,
-        "plan diameters are only {speedup:.1}x faster than the reference"
+        speedup >= MIN_PLAN_SPEEDUP,
+        "plan diameters are only {speedup:.1}x faster than the reference \
+         (floor {MIN_PLAN_SPEEDUP:.0}x)"
     );
 }
 

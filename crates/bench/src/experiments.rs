@@ -846,8 +846,9 @@ fn d2_producer_matrix(huge: bool) -> Result<Record, ExperimentError> {
     // graph's own ~log n diameter) get certified double-sweep bounds.
     // Eccentricity bounding makes the exact diameter cheap on most clusters,
     // but its worst case is still one BFS per member (~10¹¹ node visits on
-    // a 5×10⁵-node cluster): on G(2.6×10⁵, 4/n), seeded as below, the
-    // largest MPX cluster (224 340 nodes) still takes 134 s exactly.
+    // a 5×10⁵-node cluster): on G(260 000, 4/n), seeded as below, the
+    // largest MPX cluster (237 792 nodes) still takes 18.6 s exactly on a
+    // 2-core box.
     const EXACT_DIAMETER_LIMIT: usize = 10_000;
 
     let mut r = Record::new("D2: producer matrix on G(n, 4/n) — deterministic vs randomized tiers");

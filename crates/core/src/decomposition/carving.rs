@@ -18,7 +18,6 @@
 use crate::decomposition::types::Decomposition;
 use locality_graph::cluster::Clustering;
 use locality_graph::Graph;
-use std::collections::VecDeque;
 
 /// Result of ball carving.
 #[derive(Debug, Clone)]
@@ -33,41 +32,72 @@ pub struct CarvingResult {
     pub sequential_rounds: u64,
 }
 
-/// Grow a ball around `v` in the subgraph induced by `avail` until the next
-/// layer is smaller than the current ball; returns (interior, boundary).
-fn grow_ball(g: &Graph, v: usize, avail: &[bool]) -> (Vec<usize>, Vec<usize>, u32) {
-    debug_assert!(avail[v]);
-    // Layered BFS within avail.
-    let mut dist: Vec<Option<u32>> = vec![None; g.node_count()];
-    dist[v] = Some(0);
-    let mut layers: Vec<Vec<usize>> = vec![vec![v]];
-    let mut queue = VecDeque::from([v]);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u].expect("queued"); // audit: allow(panic) -- BFS invariant: every dequeued node was assigned a distance when enqueued
-        for &w in g.neighbors(u) {
-            if avail[w] && dist[w].is_none() {
-                dist[w] = Some(du + 1);
-                if layers.len() <= (du + 1) as usize {
-                    layers.push(Vec::new());
+/// Working memory of the carving BFS, reused by every ball of one
+/// decomposition: an epoch-stamped visited array (bumping the epoch clears
+/// it in `O(1)`) and the layers grown so far, flat.
+struct BallScratch {
+    stamp: Vec<u64>,
+    epoch: u64,
+    /// The ball's nodes, layer by layer in BFS order.
+    nodes: Vec<usize>,
+    /// `nodes[starts[i]..starts[i + 1]]` is layer `i`.
+    starts: Vec<usize>,
+}
+
+impl BallScratch {
+    fn new(n: usize) -> Self {
+        Self {
+            stamp: vec![0; n],
+            epoch: 0,
+            nodes: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    /// Grow a ball around `v` in the subgraph induced by `avail` until the
+    /// next layer is smaller than the current ball, and return its radius
+    /// `r`. The BFS stops at layer `r + 1`, the last one the rule reads:
+    /// afterwards [`Self::interior`] holds layers `0..=r` and
+    /// [`Self::boundary`] layer `r + 1`.
+    fn grow(&mut self, g: &Graph, v: usize, avail: &[bool]) -> u32 {
+        debug_assert!(avail[v]);
+        self.epoch += 1;
+        self.stamp[v] = self.epoch;
+        self.nodes.clear();
+        self.nodes.push(v);
+        self.starts.clear();
+        self.starts.extend([0, 1]);
+        let mut ball_size = 1usize;
+        let mut r = 0u32;
+        loop {
+            let layer = self.starts[r as usize]..self.starts[r as usize + 1];
+            for i in layer.clone() {
+                for &w in g.neighbors(self.nodes[i]) {
+                    if avail[w] && self.stamp[w] != self.epoch {
+                        self.stamp[w] = self.epoch;
+                        self.nodes.push(w);
+                    }
                 }
-                layers[(du + 1) as usize].push(w);
-                queue.push_back(w);
             }
+            self.starts.push(self.nodes.len());
+            let next = self.nodes.len() - layer.end;
+            if next < ball_size {
+                return r;
+            }
+            ball_size += next;
+            r += 1;
         }
     }
-    let mut ball_size = 1usize;
-    let mut r = 0u32;
-    loop {
-        let next = layers.get(r as usize + 1).map_or(0, Vec::len);
-        if next < ball_size {
-            break;
-        }
-        ball_size += next;
-        r += 1;
+
+    /// Layers `0..=r` of the last ball grown.
+    fn interior(&self) -> &[usize] {
+        &self.nodes[..self.starts[self.starts.len() - 2]]
     }
-    let interior: Vec<usize> = layers[..=r as usize].concat();
-    let boundary: Vec<usize> = layers.get(r as usize + 1).cloned().unwrap_or_default();
-    (interior, boundary, r)
+
+    /// Layer `r + 1` of the last ball grown.
+    fn boundary(&self) -> &[usize] {
+        &self.nodes[self.starts[self.starts.len() - 2]..]
+    }
 }
 
 /// Compute a deterministic `(O(log n), O(log n))` strong-diameter
@@ -108,6 +138,7 @@ pub fn ball_carving_decomposition(g: &Graph, order: &[usize]) -> CarvingResult {
     let mut color = 0usize;
     let mut max_radius = 0u32;
     let mut sequential_rounds = 0u64;
+    let mut ball = BallScratch::new(n);
 
     while remaining > 0 {
         // This color's working set: all currently unclustered nodes.
@@ -116,18 +147,18 @@ pub fn ball_carving_decomposition(g: &Graph, order: &[usize]) -> CarvingResult {
             if !avail[v] {
                 continue;
             }
-            let (interior, boundary, r) = grow_ball(g, v, &avail);
+            let r = ball.grow(g, v, &avail);
             max_radius = max_radius.max(r);
             sequential_rounds += (r as u64 + 1) * 2;
             let cluster_id = cluster_colors.len();
             cluster_colors.push(color);
-            for &u in &interior {
+            for &u in ball.interior() {
                 labels[u] = Some(cluster_id);
                 unclustered[u] = false;
                 avail[u] = false;
                 remaining -= 1;
             }
-            for &u in &boundary {
+            for &u in ball.boundary() {
                 avail[u] = false; // deferred to a later color
             }
         }
@@ -235,6 +266,39 @@ mod tests {
         let rev = ball_carving_decomposition(&g, &rev_order);
         fwd.decomposition.validate(&g).unwrap();
         rev.decomposition.validate(&g).unwrap();
+    }
+
+    /// FNV-1a over every node's cluster and every cluster's colour.
+    fn label_fingerprint(d: &Decomposition) -> u64 {
+        let c = d.clustering();
+        let labels = (0..c.node_count()).map(|v| c.cluster_of(v).map_or(u64::MAX, |k| k as u64));
+        let colors = (0..c.cluster_count()).map(|k| d.color_of_cluster(k) as u64);
+        labels
+            .chain(colors)
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn labels_match_the_whole_component_bfs() {
+        // Fingerprints of the labels carving produced while every ball's BFS
+        // still ran over the whole available component. A ball depends only
+        // on layers 0..=r+1, so stopping there must not move one label.
+        let sparse = Graph::gnp(
+            10_000,
+            4.0 / 10_000.0,
+            &mut SplitMix64::new(256_998_794_193_483_745),
+        );
+        for (name, g, want) in [
+            ("path(8000)", Graph::path(8000), 0x5bec_9260_2f14_c51c_u64),
+            ("grid(64, 64)", Graph::grid(64, 64), 0x68c0_5d3b_892b_5b6d),
+            ("G(10^4, 4/n)", sparse, 0x6239_6a8b_2294_15c6),
+        ] {
+            let r = ball_carving_decomposition(&g, &identity_order(g.node_count()));
+            assert_eq!(label_fingerprint(&r.decomposition), want, "{name}");
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! BFS it runs and stops once no member can exceed the largest eccentricity
 //! found (Takes & Kosters, "Determining the diameter of small world
 //! networks", CIKM 2011), so on the clusters producers build it runs a small
-//! fraction of the one-BFS-per-member scan. The pre-optimization
+//! fraction of the one-BFS-per-member scan; past its first sixteen sources
+//! it runs the rest 64 to a bit-parallel multi-source BFS (Then et al., "The
+//! More the Merrier", VLDB 2014). The pre-optimization
 //! implementations are retained as [`reference_induced_diameter`] /
 //! [`reference_weak_diameter`] for differential testing.
 
@@ -55,7 +57,11 @@ pub fn diameter(g: &Graph) -> Option<u32> {
 /// anything of size `n`. The exact strong diameter also keeps its
 /// eccentricity bounds here: three parallel buffers (candidate members and
 /// their lower and upper bounds), refilled by each call and grown only when
-/// a member set is larger than every one before it.
+/// a member set is larger than every one before it. Its bit-parallel rounds
+/// are the exception: a call that reaches them allocates their working
+/// memory (a compact copy of the induced subgraph and 64 bytes of distance
+/// lanes per candidate) and frees it on return, so a long-lived session,
+/// and every clone of its scratch, carries none of it.
 #[derive(Debug, Clone)]
 pub struct DiameterScratch {
     member_stamp: Vec<u64>,
@@ -68,7 +74,21 @@ pub struct DiameterScratch {
     candidates: Vec<u32>,
     ecc_lower: Vec<u32>,
     ecc_upper: Vec<u32>,
+    /// Bit-parallel rounds run since the scratch was built.
+    wide_rounds: u64,
 }
+
+/// Sources per bit-parallel round: one per bit of a `u64` mask.
+const WIDE: usize = 64;
+/// Sources [`induced_diameter_with`] runs one BFS at a time before it
+/// switches to bit-parallel rounds. Clusters that finish in this many BFS —
+/// paths, stars, carved balls — never allocate the rounds' working memory.
+const SEQUENTIAL_SOURCES: usize = 16;
+/// A lane at this value holds a distance of at least this much, not the
+/// distance itself.
+const SATURATED: u8 = u8::MAX;
+/// Lane row of a node that is not a candidate.
+const NO_ROW: u32 = u32::MAX;
 
 impl DiameterScratch {
     /// Scratch for graphs of `n` nodes.
@@ -84,6 +104,7 @@ impl DiameterScratch {
             candidates: Vec::new(),
             ecc_lower: Vec::new(),
             ecc_upper: Vec::new(),
+            wide_rounds: 0,
         }
     }
 
@@ -108,6 +129,12 @@ impl DiameterScratch {
     #[inline]
     fn is_member(&self, v: usize) -> bool {
         self.member_stamp[v] == self.member_epoch
+    }
+
+    /// Bit-parallel bound rounds run since the scratch was built.
+    #[cfg(test)]
+    pub(crate) fn wide_rounds(&self) -> u64 {
+        self.wide_rounds
     }
 }
 
@@ -138,11 +165,18 @@ pub fn induced_diameter(g: &Graph, nodes: &[usize]) -> Option<u32> {
 /// then alternately the candidate with the largest upper bound (a far
 /// member, as in a double sweep) and the one with the smallest lower bound
 /// (a central member, whose small eccentricity caps everyone near it); ties
-/// go to the higher degree, then the lower node index. The rule only decides
-/// how many BFS run, never the value. Every source drops itself (`d = 0`),
-/// so the worst case is still one BFS per distinct member,
-/// `O(|S| · vol(S))`, reached when all eccentricities are equal, as on a
-/// cycle. The first BFS doubles as the connectivity check. Memory traffic
+/// go to the higher degree, then the lower node index. After the first 16
+/// sources the remaining candidates run in bit-parallel rounds (multi-source
+/// BFS with `u64` visit masks, as in Then et al., "The More the Merrier",
+/// VLDB 2014): each round takes up to 64 sources, half the farthest and half
+/// the most central candidates by the same keys, runs one level-synchronous
+/// BFS for all of them over a compact copy of the induced subgraph, and
+/// tightens every candidate's bounds from all of the round's eccentricities.
+/// The source rule only decides how many BFS run, never the value. Every
+/// source drops itself (`d = 0`), so the worst case is still one BFS per
+/// distinct member, `O(|S| · vol(S))`, reached when all eccentricities are
+/// equal, as on a cycle; the rounds then do that work 64 sources to a
+/// sweep. The first BFS doubles as the connectivity check. Memory traffic
 /// is `O(touched)`: no size-`n` work whatever the graph size.
 ///
 /// # Panics
@@ -163,11 +197,12 @@ pub fn induced_diameter_with(
     if count <= 1 {
         return Some(0);
     }
-    // Source preference: the larger primary key, then higher degree, then
-    // lower node index.
-    type SourceKey = (u32, usize, Reverse<u32>);
-    let key = |primary: u32, v: u32| -> SourceKey { (primary, g.degree(v as usize), Reverse(v)) };
-    let Some(first) = scratch.members.iter().copied().max_by_key(|&v| key(0, v)) else {
+    let Some(first) = scratch
+        .members
+        .iter()
+        .copied()
+        .max_by_key(|&v| source_key(g, 0, v))
+    else {
         return Some(0);
     };
     let (seen, mut ecc, _) = restricted_bfs(g, first as usize, scratch);
@@ -183,6 +218,7 @@ pub fn induced_diameter_with(
     scratch.ecc_upper.clear();
     scratch.ecc_upper.resize(count, count as u32 - 1);
     let mut want_far = true;
+    let mut sources = 1;
     loop {
         // Tighten every candidate's bounds with the latest BFS (eccentricity
         // `ecc`, distances in `scratch.dist`), keep those that could still
@@ -201,7 +237,7 @@ pub fn induced_diameter_with(
             scratch.ecc_lower[kept] = lower;
             scratch.ecc_upper[kept] = upper;
             kept += 1;
-            let k = key(if want_far { upper } else { u32::MAX - lower }, w);
+            let k = source_key(g, if want_far { upper } else { u32::MAX - lower }, w);
             if next.map_or(true, |best_key| k > best_key) {
                 next = Some(k);
             }
@@ -212,9 +248,184 @@ pub fn induced_diameter_with(
         let Some((_, _, Reverse(src))) = next else {
             return Some(best);
         };
+        if sources == SEQUENTIAL_SOURCES {
+            return Some(bound_in_wide_rounds(g, scratch, best));
+        }
+        sources += 1;
         want_far = !want_far;
         ecc = restricted_bfs(g, src as usize, scratch).1;
         best = best.max(ecc);
+    }
+}
+
+/// Source preference: the larger primary key, then higher degree, then
+/// lower node index.
+type SourceKey = (u32, usize, Reverse<u32>);
+
+fn source_key(g: &Graph, primary: u32, v: u32) -> SourceKey {
+    (primary, g.degree(v as usize), Reverse(v))
+}
+
+/// Finish [`induced_diameter_with`]'s bound loop over the scratch's
+/// candidates (bounds already tightened by every BFS so far) in rounds of up
+/// to [`WIDE`] sources; returns the diameter.
+///
+/// Each round is one level-synchronous BFS over the induced subgraph in CSR
+/// form: a node's `seen` mask holds the sources that have reached it, and a
+/// level pushes each frontier node's new sources to its neighbours. The
+/// level at which a source first reaches a candidate is that candidate's
+/// distance lane for the source; a lane saturates at [`SATURATED`], and a
+/// saturated lane still proves `ecc ≥ 255` but tightens nothing else, so
+/// the bounds stay valid on sets of any diameter.
+fn bound_in_wide_rounds(g: &Graph, scratch: &mut DiameterScratch, mut best: u32) -> u32 {
+    let DiameterScratch {
+        member_stamp,
+        member_epoch,
+        dist: local,
+        members,
+        candidates,
+        ecc_lower,
+        ecc_upper,
+        wide_rounds,
+        ..
+    } = scratch;
+    // Number the members by position; the sequential BFS distances in
+    // `dist` have all been consumed.
+    let count = members.len();
+    for (i, &v) in members.iter().enumerate() {
+        local[v as usize] = i as u32;
+    }
+    // The induced subgraph in CSR form over those numbers.
+    let mut offsets = Vec::with_capacity(count + 1);
+    let mut targets = Vec::new();
+    offsets.push(0);
+    for &v in members.iter() {
+        let inside = g
+            .neighbors(v as usize)
+            .iter()
+            .filter(|&&w| member_stamp[w] == *member_epoch);
+        targets.extend(inside.map(|&w| local[w]));
+        offsets.push(targets.len());
+    }
+    // Per node: the sources that have reached it, those that reached it
+    // first at the level being expanded, those reaching it first at the next
+    // level, and its candidate's row in `lanes`.
+    let mut seen = vec![0u64; count];
+    let mut fresh = vec![0u64; count];
+    let mut reach = vec![0u64; count];
+    let mut row = vec![NO_ROW; count];
+    // One row of WIDE distance lanes per candidate.
+    let mut lanes: Vec<u8> = Vec::with_capacity(candidates.len() * WIDE);
+    let mut order: Vec<u32> = Vec::with_capacity(candidates.len());
+    let mut frontier: Vec<u32> = Vec::with_capacity(count);
+    let mut next: Vec<u32> = Vec::with_capacity(count);
+    while !candidates.is_empty() {
+        // Sources: the WIDE / 2 farthest candidates by upper bound, then the
+        // WIDE / 2 most central of the rest by lower bound (all of them when
+        // no more than WIDE are left). Keys are distinct, so the chosen set
+        // does not depend on the selection algorithm.
+        let k = candidates.len().min(WIDE);
+        order.clear();
+        order.extend(0..candidates.len() as u32);
+        if candidates.len() > WIDE {
+            let half = WIDE / 2;
+            order.select_nth_unstable_by_key(half - 1, |&i| {
+                Reverse(source_key(g, ecc_upper[i as usize], candidates[i as usize]))
+            });
+            order[half..].select_nth_unstable_by_key(half - 1, |&i| {
+                let central = u32::MAX - ecc_lower[i as usize];
+                Reverse(source_key(g, central, candidates[i as usize]))
+            });
+        }
+        for (i, &w) in candidates.iter().enumerate() {
+            row[local[w as usize] as usize] = i as u32;
+        }
+        // Every lane starts saturated, so levels past the last exact lane
+        // value need not write any.
+        lanes.clear();
+        lanes.resize(candidates.len() * WIDE, SATURATED);
+        seen.fill(0);
+        frontier.clear();
+        for (j, &i) in order[..k].iter().enumerate() {
+            let v = local[candidates[i as usize] as usize] as usize;
+            seen[v] = 1 << j;
+            fresh[v] = 1 << j;
+            frontier.push(v as u32);
+            lanes[i as usize * WIDE + j] = 0;
+        }
+        // A source's eccentricity is the last level at which it reaches a
+        // new node, recorded when its bit leaves the levels' union.
+        let mut ecc = [0u32; WIDE];
+        let mut active = 0u64;
+        let mut level = 0u32;
+        while !frontier.is_empty() {
+            level += 1;
+            next.clear();
+            for &u in &frontier {
+                let u = u as usize;
+                let sources = fresh[u];
+                for &t in &targets[offsets[u]..offsets[u + 1]] {
+                    let unseen = sources & !seen[t as usize];
+                    if unseen != 0 {
+                        if reach[t as usize] == 0 {
+                            next.push(t);
+                        }
+                        reach[t as usize] |= unseen;
+                    }
+                }
+            }
+            let exact = level < u32::from(SATURATED);
+            let mut reached = 0u64;
+            for &t in &next {
+                let t = t as usize;
+                let new = std::mem::take(&mut reach[t]);
+                seen[t] |= new;
+                fresh[t] = new;
+                reached |= new;
+                if exact && row[t] != NO_ROW {
+                    let lanes = &mut lanes[row[t] as usize * WIDE..][..WIDE];
+                    for_each_bit(new, |j| lanes[j] = level as u8);
+                }
+            }
+            for_each_bit(active & !reached, |j| ecc[j] = level - 1);
+            active = reached;
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        *wide_rounds += 1;
+        best = ecc.iter().fold(best, |b, &e| b.max(e));
+        let mut kept = 0;
+        for i in 0..candidates.len() {
+            let w = candidates[i];
+            row[local[w as usize] as usize] = NO_ROW;
+            let mut lower = ecc_lower[i];
+            let mut upper = ecc_upper[i];
+            for (&d, &e) in lanes[i * WIDE..][..k].iter().zip(&ecc[..k]) {
+                let saturated = d == SATURATED;
+                let d = u32::from(d);
+                lower = lower.max(if saturated { d } else { d.max(e - d) });
+                upper = upper.min(if saturated { u32::MAX } else { e + d });
+            }
+            if upper <= best {
+                continue;
+            }
+            candidates[kept] = w;
+            ecc_lower[kept] = lower;
+            ecc_upper[kept] = upper;
+            kept += 1;
+        }
+        candidates.truncate(kept);
+        ecc_lower.truncate(kept);
+        ecc_upper.truncate(kept);
+    }
+    best
+}
+
+/// Call `f` with the index of every set bit of `bits`, lowest first.
+#[inline]
+fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
     }
 }
 
@@ -222,7 +433,8 @@ pub fn induced_diameter_with(
 /// member stamps. Returns `(reached, eccentricity, farthest)` — ties for the
 /// farthest member break toward BFS (CSR) order, so the result is
 /// deterministic. Leaves `scratch.dist` valid for the reached members until
-/// the next epoch bump.
+/// the next epoch bump, or until the bit-parallel rounds reuse it for their
+/// member numbering.
 fn restricted_bfs(g: &Graph, src: usize, scratch: &mut DiameterScratch) -> (usize, u32, usize) {
     scratch.visit_epoch += 1;
     scratch.visit_stamp[src] = scratch.visit_epoch;
@@ -261,10 +473,10 @@ fn restricted_bfs(g: &Graph, src: usize, scratch: &mut DiameterScratch) -> (usiz
 /// paths have small eccentricity, so the two usually land close). Cost is
 /// `O(vol(S))`, independent of `|S|`. [`induced_diameter_with`] is exact
 /// and usually needs a small fraction of `|S|` BFS runs, but that fraction
-/// is not bounded: its worst case is still `O(|S| · vol(S))`, and on a
-/// cluster of `2 × 10⁵` nodes even its typical case takes minutes. This is
-/// the certified alternative when clusters grow to a constant fraction of a
-/// large graph.
+/// is not bounded: its worst case is still `O(|S| · vol(S))`, and on the
+/// largest MPX cluster of a `G(2.6 × 10⁵, 4/n)` (237 792 nodes) even its
+/// typical case takes 19 s on a 2-core box. This is the certified
+/// alternative when clusters grow to a constant fraction of a large graph.
 ///
 /// # Panics
 /// Panics if a node is out of range or the scratch was built for a different
@@ -650,6 +862,95 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn wide_rounds_match_reference_on_sets_that_need_them() {
+        use crate::traversal::ball;
+        use locality_rand::prng::SplitMix64;
+        // Sets whose bound loop outlasts the sequential sources: all
+        // eccentricities equal on a cycle (whose diameter of 300 overflows
+        // a u8 lane) and on a clique, and G(n, p) member sets of 500–2000
+        // nodes, the whole graph and BFS balls.
+        let gnp = Graph::gnp_connected(2000, 4.0 / 2000.0, &mut SplitMix64::new(141));
+        let cycle = Graph::cycle(601);
+        let clique = Graph::complete(120);
+        for g in [&cycle, &clique, &gnp] {
+            let all: Vec<usize> = g.nodes().collect();
+            let mut scratch = DiameterScratch::new(g.node_count());
+            assert_eq!(
+                induced_diameter_with(g, &all, &mut scratch),
+                reference_induced_diameter(g, &all),
+                "{} nodes",
+                g.node_count()
+            );
+            assert!(
+                scratch.wide_rounds() > 0,
+                "{} nodes: no bit-parallel round ran",
+                g.node_count()
+            );
+        }
+        // Balls, one scratch throughout; some finish within the sequential
+        // sources, and at least one must not.
+        let mut scratch = DiameterScratch::new(gnp.node_count());
+        for centre in [0, 777, 1999] {
+            let set = (1..)
+                .map(|r| ball(&gnp, centre, r))
+                .find(|b| b.len() >= 500)
+                .unwrap_or_default();
+            assert!((500..=2000).contains(&set.len()));
+            assert_eq!(
+                induced_diameter_with(&gnp, &set, &mut scratch),
+                reference_induced_diameter(&gnp, &set),
+                "ball around {centre}"
+            );
+        }
+        assert!(
+            scratch.wide_rounds() > 0,
+            "no ball needed a bit-parallel round"
+        );
+    }
+
+    #[test]
+    fn one_scratch_survives_wide_narrow_wide_and_disconnected_calls() {
+        use locality_rand::prng::SplitMix64;
+        let g = Graph::disjoint_union(&[
+            Graph::cycle(601),
+            Graph::complete(120),
+            Graph::gnp_connected(800, 4.0 / 800.0, &mut SplitMix64::new(7)),
+        ]);
+        let cycle: Vec<usize> = (0..601).collect();
+        let clique: Vec<usize> = (601..721).collect();
+        let gnp: Vec<usize> = (721..1521).collect();
+        let arc: Vec<usize> = (0..=20).collect();
+        let mut scratch = DiameterScratch::new(g.node_count());
+        let mut rounds = 0;
+        // (set, expected, whether it needs bit-parallel rounds)
+        let split: Vec<usize> = (0..10).chain(300..310).collect();
+        let cycle_and_clique: Vec<usize> = cycle.iter().chain(&clique).copied().collect();
+        let reference_gnp = reference_induced_diameter(&g, &gnp);
+        let steps: [(&[usize], Option<u32>, bool); 7] = [
+            (&cycle, Some(300), true),
+            (&split, None, false),
+            (&cycle_and_clique, None, false),
+            (&arc, Some(20), false),
+            (&clique, Some(1), true),
+            (&arc, Some(20), false),
+            (&gnp, reference_gnp, true),
+        ];
+        for (i, (set, want, wide)) in steps.into_iter().enumerate() {
+            assert_eq!(
+                induced_diameter_with(&g, set, &mut scratch),
+                want,
+                "step {i}"
+            );
+            assert_eq!(
+                scratch.wide_rounds() > rounds,
+                wide,
+                "step {i}: bit-parallel rounds ran unexpectedly or not at all"
+            );
+            rounds = scratch.wide_rounds();
         }
     }
 
